@@ -26,6 +26,7 @@ from fracch.harness import (
 from fracch.mlf import mittag_leffler, spectral_linear_solution
 from fracch.noise import BrownianPath, NoiseSpec, ProjectedNoiseTrack
 from fracch.solver import (
+    MassDriftError,
     NewtonDivergence,
     SchemeConfig,
     SolutionHistory,
@@ -44,6 +45,7 @@ __all__ = [
     "FeFunction",
     "GaussRule",
     "KernelSeries",
+    "MassDriftError",
     "NewtonDivergence",
     "NoiseSpec",
     "ProjectedNoiseTrack",

@@ -9,6 +9,8 @@ The weights are generated by the stable two-term recursion
 
 which is accurate to a few ulp for every order in [-1, 1]; a log-gamma
 binomial formula is kept in the test suite as an independent oracle.
+``cq_block`` cuts a block of rows out of the lower-triangular Toeplitz
+matrix of the weights, so a block of convolution sums is one GEMM.
 
 ``resolvent_kernels`` builds, for one spatial eigenmode, the two discrete
 kernel sequences that represent the solution of the scalar scheme
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from math import gamma as _gamma
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,25 @@ def cq_weights(order: float, n_max: int) -> CqWeights:
     for j in range(1, n_max + 1):
         w[j] = w[j - 1] * (j - 1 - order) / j
     return CqWeights(order, w)
+
+
+def cq_block(weights: CqWeights, first: int, rows: int, cols: int) -> np.ndarray:
+    """Rows first..first+rows-1, columns 0..cols-1 of the lower-triangular
+    Toeplitz matrix L[n, j] = a_{n-j} (zero for j > n).
+
+    ``L @ phi`` stacks the convolution sums sum_{j<=n} a_{n-j} phi_j of
+    rows n, so one block of steps costs one matrix product (Hairer,
+    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532).
+    """
+    if first < 0 or rows < 1 or cols < 1:
+        raise ValueError(f"bad block first={first}, rows={rows}, cols={cols}")
+    if first + rows > len(weights):
+        raise ValueError(f"weights too short for rows through {first + rows - 1}")
+    w = weights.weights
+    top = np.zeros(cols)
+    k = min(cols, first + 1)
+    top[:k] = w[first::-1][:k]
+    return toeplitz(w[first : first + rows], top)
 
 
 def frac_apply(weights: CqWeights, tau: float, history: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from fracch.noise import (
     sample_path,
 )
 from fracch.solver import (
+    MassDriftError,
     NewtonDivergence,
     SchemeConfig,
     initial_state,
@@ -381,7 +382,7 @@ def _temporal_sample(plan: ExperimentPlan, index: int):
             )
             norms.append(l2_norm(FeFunction(mesh, term - ref)))
         return np.array(norms)
-    except NewtonDivergence:
+    except (NewtonDivergence, MassDriftError):
         if plan.policy == "drop":
             return None
         raise
@@ -429,7 +430,7 @@ def _spatial_sample(plan: ExperimentPlan, index: int):
             injected = np.interp(x_ref, mesh.nodes(), term)
             norms.append(l2_norm(FeFunction(mesh_ref, injected - ref)))
         return np.array(norms)
-    except NewtonDivergence:
+    except (NewtonDivergence, MassDriftError):
         if plan.policy == "drop":
             return None
         raise

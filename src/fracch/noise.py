@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from fracch.fem1d import UniformMesh1D, cosine_projection_basis
-from fracch.fracops import CqWeights, cq_weights
+from fracch.fracops import CqWeights, cq_block
 
 _LATTICE = 2.0**-53
 
@@ -157,29 +157,21 @@ def project_increments(path: BrownianPath, mesh: UniformMesh1D) -> ProjectedNois
     return ProjectedNoiseTrack(mesh=mesh, tau=path.tau, values=values)
 
 
-def frac_integrated_noise(
-    track: ProjectedNoiseTrack,
-    gamma: float,
-    tau: float,
-    n: int,
-    weights: CqWeights | None = None,
+def integrated_noise(
+    track: ProjectedNoiseTrack, weights: CqWeights, first: int, rows: int
 ) -> np.ndarray:
-    """Fractionally integrated noise term tau^gamma sum_k a^(-gamma)_{n-k} g^k.
+    """Noise terms b^n = tau^gamma sum_{k<=n} a^(-gamma)_{n-k} g^k for
+    n = first..first+rows-1, one row each, from one GEMM.
 
-    For gamma = 0 this collapses to g^n.  ``weights`` may carry
-    pre-computed integration weights (order -gamma, length > n) to avoid
-    rebuilding them inside a time loop.
+    ``weights`` has order -gamma and length > first + rows - 1.  For
+    gamma = 0 the rows are g^first.. bit for bit.
     """
-    if not 1 <= n <= track.num_steps:
-        raise ValueError(f"step index {n} outside 1..{track.num_steps}")
-    if abs(tau - track.tau) > 1e-12 * track.tau:
-        raise ValueError(f"tau {tau} does not match track tau {track.tau}")
-    if weights is None:
-        weights = cq_weights(-gamma, n)
-    elif weights.order != -gamma or len(weights) < n:
-        raise ValueError("weights must have order -gamma and length > n")
-    rev = weights.weights[:n][::-1]
-    return tau**gamma * (rev @ track.values[1 : n + 1])
+    last = first + rows - 1
+    if first < 1 or last > track.num_steps:
+        raise ValueError(f"steps {first}..{last} outside 1..{track.num_steps}")
+    # rows n, columns k = 1..last of a_{n-k}; g^0 stays out of the sum
+    block = cq_block(weights, first - 1, rows, last)
+    return track.tau ** -weights.order * (block @ track.values[1 : last + 1])
 
 
 def dump_increments(path: BrownianPath, dest) -> None:

@@ -13,11 +13,21 @@ vector of phi(u) = u^3 - u and theta a scalar Lagrange multiplier
 against all hat functions including constants enforces conservation of
 (U^n, 1) automatically.
 
+The known right-hand side is assembled in blocks of BLOCK steps.  At the
+start of a block the part of H^n over the states already computed (the
+far part) and the noise terms b^n of the whole block are each one GEMM
+with a slice of the lower-triangular Toeplitz matrix of the weights
+(``fracops.cq_block``); each step then adds only the in-block states
+(the near part).  The sums are exact; only the order of the floating
+point additions differs from a step-by-step GEMV.
+
 Newton uses the exact Jacobian.  With nodes interleaved as
 (U_0, W_0, U_1, W_1, ...) the Jacobian without the border is banded
 with three sub- and three superdiagonals, so each iteration is one
-banded factorization with two right-hand sides plus a rank-one Schur
-complement for the multiplier.
+LAPACK ``gbsv`` call with two right-hand sides plus a rank-one Schur
+complement for the multiplier.  The cubic terms of an iterate come from
+one evaluation of u at the Gauss points, shared by its residual and the
+Jacobian of the next iteration.
 """
 
 from __future__ import annotations
@@ -25,20 +35,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from fracch.fem1d import (
     FeFunction,
     UniformMesh1D,
     assemble_mass,
     assemble_stiffness,
+    cubic_jacobian,
+    cubic_load,
+    gauss_values,
     l2_norm,
     l2_project_cosine,
-    nonlinear_jacobian,
     nonlinear_load,
 )
-from fracch.fracops import CqWeights, cq_weights
-from fracch.noise import ProjectedNoiseTrack, frac_integrated_noise
+from fracch.fracops import cq_block, cq_weights
+from fracch.noise import ProjectedNoiseTrack, integrated_noise
+
+# Steps per block of the blocked convolution sums.
+BLOCK = 64
+# Sub- and superdiagonals of the interleaved Newton matrix.
+_BANDS = 3
+(_gbsv,) = get_lapack_funcs(("gbsv",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -107,6 +125,10 @@ class NewtonDivergence(RuntimeError):
         return (NewtonDivergence, (self.step_index, self.residuals, self.context))
 
 
+class MassDriftError(RuntimeError):
+    """Mass conservation broke down along a path."""
+
+
 class _Workspace:
     """Per-run matrices, weights and the static part of the banded Jacobian."""
 
@@ -121,21 +143,23 @@ class _Workspace:
         md, mo = self.mass.diag, self.mass.offdiag
         sd, so = self.stiff.diag, self.stiff.offdiag
         eps2 = config.epsilon**2
-        # Band row for entry (r, c) is 3 - (c - r); columns 2j carry U_j,
-        # columns 2j+1 carry W_j; rows alternate the two equations.
-        ab = np.zeros((7, 2 * n))
-        ab[3, 0::2] = self.tau_na * md
-        ab[1, 2::2] = self.tau_na * mo
-        ab[5, 0 : 2 * (n - 1) : 2] = self.tau_na * mo
-        ab[2, 1::2] = sd
-        ab[0, 3::2] = so
-        ab[4, 1 : 2 * n - 2 : 2] = so
-        ab[3, 1::2] = md
-        ab[1, 3::2] = mo
-        ab[5, 1 : 2 * n - 2 : 2] = mo
-        ab[4, 0::2] = -eps2 * sd
-        ab[2, 2::2] = -eps2 * so
-        ab[6, 0 : 2 * (n - 1) : 2] = -eps2 * so
+        # LAPACK gbsv layout: rows 0..2 are room for the fill-in of the
+        # factorization and entry (r, c) sits in row 6 - (c - r); columns
+        # 2j carry U_j, columns 2j+1 carry W_j; rows alternate the two
+        # equations.
+        ab = np.zeros((3 * _BANDS + 1, 2 * n), order="F")
+        ab[6, 0::2] = self.tau_na * md
+        ab[4, 2::2] = self.tau_na * mo
+        ab[8, 0 : 2 * (n - 1) : 2] = self.tau_na * mo
+        ab[5, 1::2] = sd
+        ab[3, 3::2] = so
+        ab[7, 1 : 2 * n - 2 : 2] = so
+        ab[6, 1::2] = md
+        ab[4, 3::2] = mo
+        ab[8, 1 : 2 * n - 2 : 2] = mo
+        ab[7, 0::2] = -eps2 * sd
+        ab[5, 2::2] = -eps2 * so
+        ab[9, 0 : 2 * (n - 1) : 2] = -eps2 * so
         self.ab_static = ab
         border = np.zeros(2 * n)
         border[1::2] = self.me
@@ -161,7 +185,6 @@ class SolutionHistory:
         self.workspace = _Workspace(config)
         nodes = config.mesh.num_nodes
         self._states = np.zeros((config.num_steps + 1, nodes))
-        self._diffs = np.zeros((config.num_steps + 1, nodes))
         self._states[0] = u0
         self.size = 1
         ws = self.workspace
@@ -209,12 +232,11 @@ class SolutionHistory:
 
     def _append(self, u, w, theta, report):
         self._states[self.size] = u
-        self._diffs[self.size] = u - self._states[0]
         self.w = w
         self.theta = theta
         self.size += 1
         self.reports.append(report)
-        drift = abs(self.workspace.me @ self._diffs[self.size - 1])
+        drift = abs(self.workspace.me @ (u - self._states[0]))
         self.max_mass_drift = max(self.max_mass_drift, drift)
 
 
@@ -243,24 +265,16 @@ def initial_state(u0_spec, mesh: UniformMesh1D) -> FeFunction:
     return FeFunction(mesh, coeffs)
 
 
-def history_rhs(
-    hist: SolutionHistory, weights: CqWeights, tau: float, n: int
-) -> np.ndarray:
-    """Lagged convolution part tau^{-alpha} sum_{j<n} a_{n-j} (U^j - U^0)."""
-    if n < 1 or n > hist.size:
-        raise ValueError(f"need history through step {n - 1}, have {hist.size - 1}")
-    if len(weights) < n + 1:
-        raise ValueError(f"weights too short for step {n}")
-    rev = weights.weights[1 : n + 1][::-1]  # a_n .. a_1 against U^0 .. U^{n-1}
-    return tau**-weights.order * (rev @ hist._diffs[:n])
-
-
 def _residual_norm(res1, res2, res3) -> float:
     return float(np.sqrt(res1 @ res1 + res2 @ res2 + res3 * res3))
 
 
-def step(hist: SolutionHistory, config: SchemeConfig, noise_term) -> tuple:
-    """Advance the history by one step; returns (new state, StepReport)."""
+def step(hist: SolutionHistory, config: SchemeConfig, known) -> tuple:
+    """Advance the history by one step; returns (new state, StepReport).
+
+    ``known`` is the nodal vector tau^{-alpha} U^0 - H^n + b^n of the terms
+    that do not depend on U^n (see :func:`run_path`).
+    """
     if config != hist.config:
         raise ValueError("config does not match the one the history was built with")
     n = hist.size
@@ -271,27 +285,21 @@ def step(hist: SolutionHistory, config: SchemeConfig, noise_term) -> tuple:
     nodes = mesh.num_nodes
     eps2 = config.epsilon**2
 
-    b = np.zeros(nodes) if noise_term is None else np.asarray(noise_term, dtype=float)
-    lagged = history_rhs(hist, ws.alpha_weights, config.tau, n)
-    rhs1 = ws.mass.matvec(ws.tau_na * hist.u0 - lagged + b)
+    rhs1 = ws.mass.matvec(np.asarray(known, dtype=float))
     scale = 1.0 + float(np.linalg.norm(rhs1))
 
-    u = hist.state(n - 1).copy()
+    def evaluate(u, w, theta):
+        """Residual blocks and the Gauss values of u (None without phi)."""
+        ug = gauss_values(FeFunction(mesh, u)) if config.include_phi else None
+        load = 0.0 if ug is None else cubic_load(ug, mesh.h)
+        res1 = ws.tau_na * ws.mass.matvec(u) + ws.stiff.matvec(w) - rhs1
+        res2 = ws.mass.matvec(w) - eps2 * ws.stiff.matvec(u) - load + theta * ws.me
+        return (res1, res2, float(ws.me @ w)), ug
+
+    u = hist.terminal.copy()
     w = hist.w.copy()
     theta = hist.theta
-
-    def residual(u, w, theta):
-        res1 = ws.tau_na * ws.mass.matvec(u) + ws.stiff.matvec(w) - rhs1
-        res2 = (
-            ws.mass.matvec(w)
-            - eps2 * ws.stiff.matvec(u)
-            - _phi_load(config, mesh, u)
-            + theta * ws.me
-        )
-        res3 = float(ws.me @ w)
-        return res1, res2, res3
-
-    res1, res2, res3 = residual(u, w, theta)
+    (res1, res2, res3), ug = evaluate(u, w, theta)
     norm = _residual_norm(res1, res2, res3)
     trace = [norm]
 
@@ -299,17 +307,23 @@ def step(hist: SolutionHistory, config: SchemeConfig, noise_term) -> tuple:
     iters = 0
     for _ in range(config.newton_max):
         iters += 1
-        ab = ws.ab_static.copy()
-        if config.include_phi:
-            jac = nonlinear_jacobian(FeFunction(mesh, u))
-            ab[4, 0::2] -= jac.diag
-            ab[2, 2::2] -= jac.offdiag
-            ab[6, 0 : 2 * (nodes - 1) : 2] -= jac.offdiag
-        rhs = np.empty((2 * nodes, 2))
+        ab = ws.ab_static.copy(order="F")
+        if ug is not None:
+            jac = cubic_jacobian(ug, mesh.h)
+            ab[7, 0::2] -= jac.diag
+            ab[5, 2::2] -= jac.offdiag
+            ab[9, 0 : 2 * (nodes - 1) : 2] -= jac.offdiag
+        rhs = np.empty((2 * nodes, 2), order="F")
         rhs[0::2, 0] = -res1
         rhs[1::2, 0] = -res2
         rhs[:, 1] = ws.border_col
-        sol = solve_banded((3, 3), ab, rhs)
+        _, _, sol, info = _gbsv(
+            _BANDS, _BANDS, ab, rhs, overwrite_ab=True, overwrite_b=True
+        )
+        if info > 0:
+            raise NewtonDivergence(n, trace, "singular Newton matrix")
+        if info < 0:
+            raise ValueError(f"gbsv rejected argument {-info}")
         y1, y2 = sol[:, 0], sol[:, 1]
         denom = float(ws.me @ y2[1::2])
         dtheta = (float(ws.me @ y1[1::2]) + res3) / denom
@@ -319,7 +333,7 @@ def step(hist: SolutionHistory, config: SchemeConfig, noise_term) -> tuple:
         u_new = u + du
         w_new = w + dw
         theta_new = theta + dtheta
-        r1, r2, r3 = residual(u_new, w_new, theta_new)
+        (r1, r2, r3), ug_new = evaluate(u_new, w_new, theta_new)
         new_norm = _residual_norm(r1, r2, r3)
         if not np.isfinite(new_norm):
             raise NewtonDivergence(n, trace + [new_norm])
@@ -328,11 +342,11 @@ def step(hist: SolutionHistory, config: SchemeConfig, noise_term) -> tuple:
             u_new = u + 0.5 * du
             w_new = w + 0.5 * dw
             theta_new = theta + 0.5 * dtheta
-            r1, r2, r3 = residual(u_new, w_new, theta_new)
+            (r1, r2, r3), ug_new = evaluate(u_new, w_new, theta_new)
             new_norm = _residual_norm(r1, r2, r3)
             if not np.isfinite(new_norm):
                 raise NewtonDivergence(n, trace + [new_norm])
-        u, w, theta = u_new, w_new, theta_new
+        u, w, theta, ug = u_new, w_new, theta_new, ug_new
         res1, res2, res3 = r1, r2, r3
         norm = new_norm
         trace.append(norm)
@@ -361,8 +375,12 @@ def run_path(
     """Run all num_steps steps; the noise track may be omitted for
     deterministic runs.
 
+    The lagged sum H^n = tau^{-alpha} sum_{j<n} a_{n-j} (U^j - U^0) and the
+    noise terms b^n are summed in blocks of BLOCK steps, see the module
+    docstring.
+
     Raises NewtonDivergence with the failing step index on
-    non-convergence and RuntimeError if mass conservation degrades
+    non-convergence and MassDriftError if mass conservation degrades
     beyond 1e-10 * (1 + ||U^0||).
     """
     u0 = initial_state(u0_spec, config.mesh)
@@ -375,20 +393,28 @@ def run_path(
             raise ValueError(f"track tau {track.tau} != config tau {config.tau}")
         gamma_weights = cq_weights(-config.gamma, config.num_steps)
     hist = SolutionHistory(config, u0.coeffs)
+    ws = hist.workspace
+    alpha_weights = ws.alpha_weights
+    a = alpha_weights.weights
+    start = hist.u0
     mass_tol = 1e-10 * (1.0 + l2_norm(u0))
-    for n in range(1, config.num_steps + 1):
-        if track is None:
-            b = None
-        else:
-            b = frac_integrated_noise(
-                track, config.gamma, config.tau, n, weights=gamma_weights
-            )
-        step(hist, config, b)
-        if hist.max_mass_drift > mass_tol:
-            raise RuntimeError(
-                f"mass conservation broke at step {n}: "
-                f"drift {hist.max_mass_drift:.3e} > {mass_tol:.3e}"
-            )
+    for first in range(1, config.num_steps + 1, BLOCK):
+        rows = min(BLOCK, config.num_steps + 1 - first)
+        # far part: the states U^0..U^{first-1} known when the block starts
+        far = cq_block(alpha_weights, first, rows, first)
+        lagged = far @ hist.states_array() - far.sum(axis=1)[:, None] * start
+        known = ws.tau_na * (start - lagged)
+        if track is not None:
+            known += integrated_noise(track, gamma_weights, first, rows)
+        for i in range(rows):
+            # near part: the states U^first..U^{n-1} of this block
+            near = a[i:0:-1] @ (hist.states_array()[first:] - start)
+            step(hist, config, known[i] - ws.tau_na * near)
+            if hist.max_mass_drift > mass_tol:
+                raise MassDriftError(
+                    f"mass conservation broke at step {first + i}: "
+                    f"drift {hist.max_mass_drift:.3e} > {mass_tol:.3e}"
+                )
     return hist
 
 

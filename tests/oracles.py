@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import binom, rgamma
 
 from fracch.fem1d import FeFunction, UniformMesh1D
+from fracch.fracops import CqWeights, cq_weights
 
 
 def binomial_weights(order: float, n_max: int) -> np.ndarray:
@@ -41,6 +42,36 @@ def scalar_cq_solve(lam: float, alpha: float, tau: float, f: np.ndarray) -> np.n
         hist = ta * np.dot(a[1:n][::-1], u[1:n]) if n > 1 else 0.0
         u[n] = (f[n - 1] - hist) / (ta + lam**2)
     return u
+
+
+def history_rhs(hist, weights: CqWeights, tau: float, n: int) -> np.ndarray:
+    """Lagged convolution part tau^{-alpha} sum_{j<n} a_{n-j} (U^j - U^0),
+    one GEMV per step; the solver sums it in blocks."""
+    if n < 1 or n > hist.size:
+        raise ValueError(f"need history through step {n - 1}, have {hist.size - 1}")
+    if len(weights) < n + 1:
+        raise ValueError(f"weights too short for step {n}")
+    rev = weights.weights[1 : n + 1][::-1]  # a_n .. a_1 against U^0 .. U^{n-1}
+    return tau**-weights.order * (rev @ (hist.states_array()[:n] - hist.u0))
+
+
+def frac_integrated_noise(track, gamma: float, tau: float, n: int, weights=None):
+    """Fractionally integrated noise term tau^gamma sum_k a^(-gamma)_{n-k} g^k,
+    one GEMV per step; the solver sums it in blocks.
+
+    For gamma = 0 this collapses to g^n.  ``weights`` may carry
+    pre-computed integration weights (order -gamma, length > n).
+    """
+    if not 1 <= n <= track.num_steps:
+        raise ValueError(f"step index {n} outside 1..{track.num_steps}")
+    if abs(tau - track.tau) > 1e-12 * track.tau:
+        raise ValueError(f"tau {tau} does not match track tau {track.tau}")
+    if weights is None:
+        weights = cq_weights(-gamma, n)
+    elif weights.order != -gamma or len(weights) < n:
+        raise ValueError("weights must have order -gamma and length > n")
+    rev = weights.weights[:n][::-1]
+    return tau**gamma * (rev @ track.values[1 : n + 1])
 
 
 # 12-point Gauss-Legendre on [0, 1]: exact to polynomial degree 23,

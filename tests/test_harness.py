@@ -27,7 +27,9 @@ from fracch.harness import (
     theoretical_rate,
     validate_config,
 )
-from fracch.solver import NewtonDivergence
+from fracch import harness
+from fracch.noise import ProjectedNoiseTrack
+from fracch.solver import MassDriftError, NewtonDivergence
 
 
 def test_theoretical_rate_pinned_values():
@@ -300,6 +302,33 @@ def test_divergence_policies():
                               policy="drop")
     with pytest.raises(RuntimeError, match="dropped"):
         run_temporal_study(drop)
+
+
+def test_mass_drift_policies(monkeypatch):
+    # sample 1 gets noise frames with a nonzero mean, so its mass drifts
+    current = {}
+
+    def stream(master_seed, row_key, path_index):
+        current["index"] = path_index
+        return real_stream(master_seed, row_key, path_index)
+
+    def project(path, mesh):
+        track = real_project(path, mesh)
+        if current["index"] == 1:
+            values = track.values.copy()
+            values[1:] += 1.0
+            track = ProjectedNoiseTrack(mesh=mesh, tau=track.tau, values=values)
+        return track
+
+    real_stream, real_project = harness.path_stream, harness.project_increments
+    monkeypatch.setattr(harness, "path_stream", stream)
+    monkeypatch.setattr(harness, "project_increments", project)
+
+    table = run_temporal_study(tiny_temporal_plan(policy="drop"))
+    assert table.dropped == (1,)
+    assert table.samples == 2
+    with pytest.raises(MassDriftError):
+        run_temporal_study(tiny_temporal_plan())
 
 
 def test_linear_oracle_table_small():

@@ -11,12 +11,14 @@ from fracch.noise import (
     ProjectedNoiseTrack,
     coarsen,
     dump_increments,
-    frac_integrated_noise,
+    integrated_noise,
     mode_variances,
     path_stream,
     project_increments,
     sample_path,
 )
+from fracch.solver import BLOCK
+from oracles import frac_integrated_noise
 
 
 def test_spec_validation():
@@ -203,6 +205,32 @@ def test_frac_integration_validation():
     a = frac_integrated_noise(track, 0.5, 0.25, 3, weights=w)
     b = frac_integrated_noise(track, 0.5, 0.25, 3)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("num_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_noise_matches_brute_force(num_steps):
+    rng = np.random.default_rng(num_steps)
+    mesh = UniformMesh1D(4)
+    tau = 0.01
+    values = rng.standard_normal((num_steps + 1, 5))
+    values[0] = 0.0
+    track = ProjectedNoiseTrack(mesh=mesh, tau=tau, values=values)
+    for gamma in (0.0, 0.5, 1.0):
+        weights = cq_weights(-gamma, num_steps)
+        for first in range(1, num_steps + 1, BLOCK):
+            rows = min(BLOCK, num_steps + 1 - first)
+            out = integrated_noise(track, weights, first, rows)
+            assert out.shape == (rows, 5)
+            if gamma == 0.0:
+                assert np.array_equal(out, values[first : first + rows])
+            for i in range(rows):
+                brute = frac_integrated_noise(track, gamma, tau, first + i)
+                bound = 1e-13 * max(1.0, np.max(np.abs(brute)))
+                assert np.max(np.abs(out[i] - brute)) <= bound
+    with pytest.raises(ValueError):
+        integrated_noise(track, weights, 0, 1)
+    with pytest.raises(ValueError):
+        integrated_noise(track, weights, num_steps, 2)
 
 
 def test_projected_variance_matches_theory():

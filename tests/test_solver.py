@@ -21,17 +21,19 @@ from fracch.noise import (
     project_increments,
     sample_path,
 )
+from fracch import solver
 from fracch.solver import (
+    BLOCK,
+    MassDriftError,
     NewtonDivergence,
     SchemeConfig,
     SolutionHistory,
     dump_trajectory,
-    history_rhs,
     initial_state,
     run_path,
     step,
 )
-from oracles import classic_mixed_be
+from oracles import classic_mixed_be, frac_integrated_noise, history_rhs
 
 
 def make_track(mesh, tau, num_steps, seed, num_modes=15, decay=2.0):
@@ -126,6 +128,72 @@ def test_history_rhs_constant_history():
     w = cq_weights(0.5, 4)
     for n in range(1, 5):
         assert np.all(history_rhs(hist, w, config.tau, n) == 0.0)
+
+
+@pytest.mark.parametrize("num_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_sums_match_brute_force(monkeypatch, num_steps):
+    # every known right-hand side run_path hands to step, against the
+    # per-step GEMV oracles over the run's own states
+    mesh = UniformMesh1D(8)
+    tau = 1e-3
+    track = make_track(mesh, tau, num_steps, 41)
+    known = {}
+
+    def spy(hist, config, rhs):
+        known[hist.size] = rhs.copy()
+        return step(hist, config, rhs)
+
+    monkeypatch.setattr(solver, "step", spy)
+    for alpha in (0.3, 1.0):
+        for gamma in (0.0, 0.5, 1.0):
+            config = SchemeConfig(mesh=mesh, alpha=alpha, gamma=gamma, epsilon=0.5,
+                                  tau=tau, num_steps=num_steps)
+            known.clear()
+            hist = run_path(config, "b", track)
+            assert np.any(hist.u0 != 0.0)
+            assert sorted(known) == list(range(1, num_steps + 1))
+            w = cq_weights(alpha, num_steps)
+            for n in range(1, num_steps + 1):
+                brute = (tau**-alpha * hist.u0 - history_rhs(hist, w, tau, n)
+                         + frac_integrated_noise(track, gamma, tau, n))
+                bound = 1e-13 * max(1.0, np.max(np.abs(brute)))
+                assert np.max(np.abs(known[n] - brute)) <= bound
+
+
+def test_reruns_are_byte_identical():
+    mesh = UniformMesh1D(16)
+    tau = 1e-3
+    config = SchemeConfig(mesh=mesh, alpha=0.75, gamma=0.8, epsilon=0.1,
+                          tau=tau, num_steps=BLOCK + 5)
+    track = make_track(mesh, tau, BLOCK + 5, path_stream(3, 1, 2))
+    first = run_path(config, "b", track)
+    second = run_path(config, "b", track)
+    assert np.array_equal(first.terminal, second.terminal)
+    assert np.array_equal(first.states_array(), second.states_array())
+
+
+def test_singular_newton_matrix_raises():
+    mesh = UniformMesh1D(8)
+    config = SchemeConfig(mesh=mesh, alpha=0.5, gamma=0.5, epsilon=1.0,
+                          tau=0.01, num_steps=1)
+    hist = SolutionHistory(config, initial_state("b", mesh).coeffs)
+    hist.workspace.ab_static[:] = 0.0
+    with pytest.raises(NewtonDivergence, match="singular") as info:
+        step(hist, config, hist.u0)
+    assert info.value.step_index == 1
+    assert hist.size == 1
+
+
+def test_mean_carrying_noise_breaks_mass_conservation():
+    mesh = UniformMesh1D(8)
+    values = np.zeros((5, mesh.num_nodes))
+    values[1:] = 1.0  # a constant frame: not mean-zero
+    track = ProjectedNoiseTrack(mesh=mesh, tau=0.01, values=values)
+    config = SchemeConfig(mesh=mesh, alpha=0.5, gamma=0.5, epsilon=1.0,
+                          tau=0.01, num_steps=4)
+    with pytest.raises(MassDriftError, match="mass conservation broke at step 1"):
+        run_path(config, "a", track)
+    assert issubclass(MassDriftError, RuntimeError)
 
 
 def test_step_guards():
