@@ -5,7 +5,7 @@ integrated Q-Wiener forcing on the unit interval.
 Submodules
 ----------
 fem1d    piecewise-linear finite elements on a uniform grid
-fracops  convolution quadrature weights and resolvent kernel series
+fracops  convolution quadrature weights and their Toeplitz blocks
 mlf      Mittag-Leffler evaluation and the spectral linear solution
 noise    Q-Wiener increment sampling, coarsening, projection
 solver   the coupled time stepper (Newton on the two-field system)
@@ -13,7 +13,7 @@ harness  convergence studies, rate theory, CSV emission, config checks
 """
 
 from fracch.fem1d import FeFunction, GaussRule, SymTridiagonal, UniformMesh1D
-from fracch.fracops import CqWeights, KernelSeries, cq_weights, resolvent_kernels
+from fracch.fracops import CqWeights, cq_weights
 from fracch.harness import (
     ErrorTable,
     ExperimentPlan,
@@ -44,7 +44,6 @@ __all__ = [
     "ExperimentPlan",
     "FeFunction",
     "GaussRule",
-    "KernelSeries",
     "MassDriftError",
     "NewtonDivergence",
     "NoiseSpec",
@@ -59,7 +58,6 @@ __all__ = [
     "initial_state",
     "mittag_leffler",
     "plan_from_json",
-    "resolvent_kernels",
     "run_path",
     "run_study",
     "spectral_linear_solution",

@@ -68,6 +68,8 @@ def _plan_from_args(args) -> harness.ExperimentPlan:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise harness.ConfigError(f"{args.config} does not hold a JSON object")
     overrides = {
         "study": args.study,
         "case": args.case,
@@ -190,8 +192,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_weights)
 
     p = sub.add_parser("oracle", help="linear cross-check vs exact solution")
-    p.add_argument("--linear", action="store_true",
-                   help="accepted for explicitness; the check is linear")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--mesh", type=int, default=256)

@@ -14,6 +14,7 @@ The nonlinearity used throughout is the double-well derivative
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -155,16 +156,21 @@ def l2_project_cosine(mesh: UniformMesh1D, wavenumber: int) -> FeFunction:
     return FeFunction(mesh, assemble_mass(mesh).solve(load))
 
 
+@lru_cache(maxsize=8)
 def cosine_projection_basis(mesh: UniformMesh1D, count: int) -> np.ndarray:
     """Projected cosines for wavenumbers 1..count as columns of a matrix.
 
     Column j-1 holds the nodal coefficients of the L2 projection of
     sqrt(2)*cos(j*pi*x); one mass solve with many right-hand sides.
+    Every resolution of a temporal study projects onto the same mesh, so
+    the basis is cached; it is returned read-only because callers share it.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     loads = _cosine_loads(mesh, np.arange(1, count + 1))
-    return assemble_mass(mesh).solve(loads.T)
+    basis = assemble_mass(mesh).solve(loads.T)
+    basis.setflags(write=False)
+    return basis
 
 
 # The one rule the cubic terms use, built once; its products with the hat
@@ -206,25 +212,6 @@ def nonlinear_load(u: FeFunction) -> np.ndarray:
     return cubic_load(gauss_values(u), u.mesh.h)
 
 
-def nonlinear_jacobian(u: FeFunction) -> SymTridiagonal:
-    """Jacobian of :func:`nonlinear_load`: entries int (3u^2-1) chi_i chi_j."""
-    return cubic_jacobian(gauss_values(u), u.mesh.h)
-
-
-def project_mean_zero(u: FeFunction) -> FeFunction:
-    """Subtract the mean value so the result is L2-orthogonal to constants."""
-    mass = assemble_mass(u.mesh)
-    ones = np.ones(u.mesh.num_nodes)
-    measure = ones @ mass.matvec(ones)
-    mean = (ones @ mass.matvec(u.coeffs)) / measure
-    return FeFunction(u.mesh, u.coeffs - mean)
-
-
 def l2_norm(u: FeFunction) -> float:
     q = u.coeffs @ assemble_mass(u.mesh).matvec(u.coeffs)
-    return float(np.sqrt(max(q, 0.0)))
-
-
-def h1_seminorm(u: FeFunction) -> float:
-    q = u.coeffs @ assemble_stiffness(u.mesh).matvec(u.coeffs)
     return float(np.sqrt(max(q, 0.0)))

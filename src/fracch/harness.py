@@ -3,10 +3,12 @@
 A study runs the solver over many independent noise paths at several
 resolutions against a common-path reference solution, aggregates the
 terminal errors in the root-mean-square sense over samples, and fits
-convergence rates.  Temporal sweeps coarsen one fine increment matrix,
-so every resolution sees the same Brownian path; spatial sweeps share
-the mode-space increments across nested meshes and compare after nodal
-injection into the reference space.
+convergence rates.  One driver serves both refinement axes: temporal
+sweeps coarsen one fine increment matrix on a fixed mesh, so every
+resolution sees the same Brownian path; spatial sweeps share the
+mode-space increments across nested meshes at a fixed step.  Terminal
+states are compared after nodal injection into the reference mesh,
+which on the temporal axis is the same mesh and leaves them unchanged.
 
 Theoretical exponents follow the strong error analysis of the scheme:
 for noise regularity beta the spatial order is min(2, beta) - r and the
@@ -16,17 +18,20 @@ temporal order at fixed final time is min(mu, zeta, 1), where
     sigma = eta + alpha / 4,   mu = min(sigma, 1)
     xi    = alpha + gamma - 1/2,   zeta = min(xi, 1)
 
-and r > 0 only when gamma is too small to compensate rough noise.  The
-strict uniform-in-time temporal exponent min(alpha/2, mu, zeta) is
-computed alongside; at fixed final time the alpha/2 term does not bind.
+and r > 0 only when gamma is too small to compensate rough noise.  (The
+strict uniform-in-time exponent adds an alpha/2 cap, which does not
+bind at fixed final time.)
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import zlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import partial
 from io import StringIO
 
 import numpy as np
@@ -44,7 +49,6 @@ from fracch.solver import (
     MassDriftError,
     NewtonDivergence,
     SchemeConfig,
-    initial_state,
     run_path,
 )
 
@@ -64,7 +68,6 @@ class RateSummary:
     """Predicted convergence exponents and their ingredients."""
 
     spatial: float
-    temporal: float
     temporal_fixed_time: float
     eta: float
     sigma: float
@@ -100,7 +103,6 @@ def theoretical_rate(alpha: float, gamma: float, beta: float) -> RateSummary:
         reduction = max(0.0, (4.0 / alpha) * ((2.0 - alpha * beta) / 4.0 - gamma))
     return RateSummary(
         spatial=min(2.0, beta) - reduction,
-        temporal=min(alpha / 2.0, mu, zeta),
         temporal_fixed_time=min(mu, zeta, 1.0),
         eta=eta,
         sigma=sigma,
@@ -188,8 +190,37 @@ class ExperimentPlan:
 _PLAN_ALIASES = {"m": "decay_exponent", "seed": "master_seed", "T": "t_final"}
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _type_problem(kind: str, value):
+    """What a JSON value for a plan field of annotated type ``kind`` must
+    be, or None if it fits."""
+    if value is None and kind.endswith("| None"):
+        return None
+    if kind == "tuple":
+        fits = isinstance(value, (list, tuple)) and all(map(_is_integer, value))
+        return None if fits else "a list of integers"
+    if kind.startswith("int"):
+        return None if _is_integer(value) else "an integer"
+    if kind.startswith("float"):
+        fits = (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+        )
+        return None if fits else "a finite number"
+    return None
+
+
 def plan_from_json(source) -> ExperimentPlan:
-    """Build a plan from a JSON document, dict, or file-like object."""
+    """Build a plan from a JSON document, dict, or file-like object.
+
+    Unknown fields, integer fields holding anything but an integer, and
+    float fields holding anything but a finite number raise ConfigError;
+    ranges are left to :func:`validate_config`.
+    """
     if isinstance(source, ExperimentPlan):
         return source
     if isinstance(source, dict):
@@ -198,12 +229,17 @@ def plan_from_json(source) -> ExperimentPlan:
         data = json.load(source)
     else:
         data = json.loads(source)
-    known = {f.name for f in fields(ExperimentPlan)}
+    if not isinstance(data, dict):
+        raise ConfigError(f"a plan is a JSON object, got {type(data).__name__}")
+    known = {f.name: f.type for f in fields(ExperimentPlan)}
     kwargs = {}
     for key, value in data.items():
         name = _PLAN_ALIASES.get(key, key)
         if name not in known:
             raise ConfigError(f"unknown config field {key!r}")
+        problem = _type_problem(known[name], value)
+        if problem:
+            raise ConfigError(f"config field {key!r} must be {problem}, got {value!r}")
         kwargs[name] = value
     return ExperimentPlan(**kwargs)
 
@@ -306,15 +342,6 @@ class ErrorTable:
     dropped: tuple = ()
 
 
-def error_norm(errors) -> float:
-    """Root-mean-square of the spatial L2 norms of the sample errors."""
-    errors = list(errors)
-    if not errors:
-        raise ValueError("empty sample set")
-    sq = [l2_norm(e) ** 2 for e in errors]
-    return float(np.sqrt(np.mean(sq)))
-
-
 def _rms_columns(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(np.square(rows), axis=0))
 
@@ -339,94 +366,52 @@ def pairwise_rates(resolutions, errors) -> tuple:
     return tuple(out)
 
 
-def _solve_terminal(config, case, track, context):
-    try:
-        return run_path(config, case, track).terminal
-    except NewtonDivergence as exc:
-        raise NewtonDivergence(exc.step_index, exc.residuals, context=context) from exc
+def _sample(plan: ExperimentPlan, index: int):
+    """Terminal errors of one sample at each resolution against its own
+    reference solve, or None if the path failed under policy "drop".
 
-
-def _temporal_sample(plan: ExperimentPlan, index: int):
-    """Terminal errors of one sample against its own fine reference."""
-    mesh = UniformMesh1D(plan.mesh_size)
+    The path is drawn once on the fine grid of the study: the reference
+    step count on the temporal axis, the fixed step count on the spatial
+    axis.  Temporal resolutions coarsen it; spatial ones reuse it on
+    coarser meshes.
+    """
+    spatial = plan.study == "spatial"
     spec = NoiseSpec(
-        plan.decay_exponent, plan.resolved_modes, plan.t_final, plan.reference
+        plan.decay_exponent,
+        plan.resolved_modes,
+        plan.t_final,
+        plan.num_steps if spatial else plan.reference,
     )
     path = sample_path(spec, path_stream(plan.master_seed, plan.row_key, index))
-    eps = plan.resolved_epsilon
 
-    def config(n):
-        return SchemeConfig(
+    def solve(resolution, noise, context):
+        mesh = UniformMesh1D(resolution if spatial else plan.mesh_size)
+        config = SchemeConfig(
             mesh=mesh,
             alpha=plan.alpha,
             gamma=plan.gamma,
-            epsilon=eps,
-            tau=plan.t_final / n,
-            num_steps=n,
+            epsilon=plan.resolved_epsilon,
+            tau=plan.t_final / noise.num_steps,
+            num_steps=noise.num_steps,
             newton_tol=plan.newton_tol,
             newton_max=plan.newton_max,
         )
+        track = project_increments(noise, mesh)
+        try:
+            return mesh, run_path(config, plan.case, track).terminal
+        except NewtonDivergence as exc:
+            raise NewtonDivergence(
+                exc.step_index, exc.residuals, context=f"sample {index}, {context}"
+            ) from exc
 
+    axis = "mesh" if spatial else "steps"
     try:
-        ref = _solve_terminal(
-            config(plan.reference),
-            plan.case,
-            project_increments(path, mesh),
-            f"sample {index}, reference {plan.reference}",
-        )
-        norms = []
-        for n in plan.resolutions:
-            track = project_increments(coarsen(path, plan.reference // n), mesh)
-            term = _solve_terminal(
-                config(n), plan.case, track, f"sample {index}, resolution {n}"
-            )
-            norms.append(l2_norm(FeFunction(mesh, term - ref)))
-        return np.array(norms)
-    except (NewtonDivergence, MassDriftError):
-        if plan.policy == "drop":
-            return None
-        raise
-
-
-def _spatial_sample(plan: ExperimentPlan, index: int):
-    """Terminal errors of one sample on each mesh against the fine mesh."""
-    spec = NoiseSpec(
-        plan.decay_exponent, plan.resolved_modes, plan.t_final, plan.num_steps
-    )
-    path = sample_path(spec, path_stream(plan.master_seed, plan.row_key, index))
-    eps = plan.resolved_epsilon
-    tau = plan.t_final / plan.num_steps
-
-    def config(mesh):
-        return SchemeConfig(
-            mesh=mesh,
-            alpha=plan.alpha,
-            gamma=plan.gamma,
-            epsilon=eps,
-            tau=tau,
-            num_steps=plan.num_steps,
-            newton_tol=plan.newton_tol,
-            newton_max=plan.newton_max,
-        )
-
-    mesh_ref = UniformMesh1D(plan.reference)
-    try:
-        ref = _solve_terminal(
-            config(mesh_ref),
-            plan.case,
-            project_increments(path, mesh_ref),
-            f"sample {index}, reference mesh {plan.reference}",
-        )
+        mesh_ref, ref = solve(plan.reference, path, f"reference {axis} {plan.reference}")
         x_ref = mesh_ref.nodes()
         norms = []
-        for m_sz in plan.resolutions:
-            mesh = UniformMesh1D(m_sz)
-            term = _solve_terminal(
-                config(mesh),
-                plan.case,
-                project_increments(path, mesh),
-                f"sample {index}, mesh {m_sz}",
-            )
+        for res in plan.resolutions:
+            noise = path if spatial else coarsen(path, plan.reference // res)
+            mesh, term = solve(res, noise, f"{axis} {res}")
             injected = np.interp(x_ref, mesh.nodes(), term)
             norms.append(l2_norm(FeFunction(mesh_ref, injected - ref)))
         return np.array(norms)
@@ -436,21 +421,19 @@ def _spatial_sample(plan: ExperimentPlan, index: int):
         raise
 
 
-def _collect(plan: ExperimentPlan, worker) -> tuple:
-    """Run the per-sample worker over all indices; deterministic order."""
-    results = {}
+def _collect(plan: ExperimentPlan) -> tuple:
+    """Error rows of the kept samples and the indices of the dropped ones.
+
+    Results arrive in index order for any worker count, so under policy
+    "abort" the lowest failing index is the one reported.
+    """
     if plan.workers > 1:
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            futures = {
-                pool.submit(worker, plan, s): s for s in range(plan.samples)
-            }
-            for fut in as_completed(futures):
-                results[futures[fut]] = fut.result()
+            results = list(pool.map(partial(_sample, plan), range(plan.samples)))
     else:
-        for s in range(plan.samples):
-            results[s] = worker(plan, s)
-    kept = [results[s] for s in sorted(results) if results[s] is not None]
-    dropped = tuple(s for s in sorted(results) if results[s] is None)
+        results = [_sample(plan, s) for s in range(plan.samples)]
+    kept = [r for r in results if r is not None]
+    dropped = tuple(s for s, r in enumerate(results) if r is None)
     if not kept:
         raise RuntimeError("every sample path was dropped")
     return np.vstack(kept), dropped
@@ -474,26 +457,22 @@ def _finish_table(plan: ExperimentPlan, rows: np.ndarray, dropped) -> ErrorTable
     )
 
 
+def run_study(plan: ExperimentPlan) -> ErrorTable:
+    ensure_valid(plan)
+    rows, dropped = _collect(plan)
+    return _finish_table(plan, rows, dropped)
+
+
 def run_temporal_study(plan: ExperimentPlan) -> ErrorTable:
     if plan.study != "temporal":
         raise ConfigError(f"plan.study is {plan.study!r}, expected temporal")
-    ensure_valid(plan)
-    rows, dropped = _collect(plan, _temporal_sample)
-    return _finish_table(plan, rows, dropped)
+    return run_study(plan)
 
 
 def run_spatial_study(plan: ExperimentPlan) -> ErrorTable:
     if plan.study != "spatial":
         raise ConfigError(f"plan.study is {plan.study!r}, expected spatial")
-    ensure_valid(plan)
-    rows, dropped = _collect(plan, _spatial_sample)
-    return _finish_table(plan, rows, dropped)
-
-
-def run_study(plan: ExperimentPlan) -> ErrorTable:
-    if plan.study == "spatial":
-        return run_spatial_study(plan)
-    return run_temporal_study(plan)
+    return run_study(plan)
 
 
 def emit_table(table: ErrorTable, dest) -> None:
@@ -518,38 +497,6 @@ def emit_table(table: ErrorTable, dest) -> None:
     else:
         with open(dest, "w", encoding="ascii") as fh:
             fh.write(text)
-
-
-def read_table(source) -> ErrorTable:
-    """Parse a file produced by emit_table."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "resolution,error,pairwise_rate":
-        raise ValueError("not an error-table file")
-    resolutions, errors, pw = [], [], []
-    fitted = theory = float("nan")
-    for ln in lines[1:]:
-        first, second, third = ln.split(",")
-        if first == "fitted_rate":
-            fitted = float(second)
-        elif first == "theoretical_rate":
-            theory = float(second)
-        else:
-            resolutions.append(int(first))
-            errors.append(float(second))
-            if third:
-                pw.append(float(third))
-    return ErrorTable(
-        resolutions=tuple(resolutions),
-        errors=tuple(errors),
-        pairwise_rates=tuple(pw),
-        fitted_rate=fitted,
-        theoretical_rate=theory,
-    )
 
 
 def table_text(table: ErrorTable) -> str:

@@ -99,12 +99,7 @@ class StepReport:
     step_index: int
     newton_iters: int
     final_residual: float
-    converged: bool
     residual_trace: tuple
-
-    def __post_init__(self):
-        if self.converged and not self.residual_trace:
-            raise ValueError("converged step must carry a residual trace")
 
 
 class NewtonDivergence(RuntimeError):
@@ -214,22 +209,6 @@ class SolutionHistory:
         """All stored states as an array of shape (size, nodes)."""
         return self._states[: self.size]
 
-    def mass(self, n: int) -> float:
-        """The conserved functional (U^n, 1)."""
-        return float(self.workspace.me @ self.state(n))
-
-    def max_laplacian_norm(self) -> float:
-        """max_n of the L2 norm of the discrete Laplacian of U^n.
-
-        Diagnostic only; large values flag an under-resolved run.
-        """
-        ws = self.workspace
-        out = 0.0
-        for n in range(self.size):
-            v = ws.mass.solve(ws.stiff.matvec(self._states[n]))
-            out = max(out, l2_norm(FeFunction(self.config.mesh, v)))
-        return out
-
     def _append(self, u, w, theta, report):
         self._states[self.size] = u
         self.w = w
@@ -303,10 +282,7 @@ def step(hist: SolutionHistory, config: SchemeConfig, known) -> tuple:
     norm = _residual_norm(res1, res2, res3)
     trace = [norm]
 
-    converged = False
-    iters = 0
-    for _ in range(config.newton_max):
-        iters += 1
+    for iters in range(1, config.newton_max + 1):
         ab = ws.ab_static.copy(order="F")
         if ug is not None:
             jac = cubic_jacobian(ug, mesh.h)
@@ -351,16 +327,14 @@ def step(hist: SolutionHistory, config: SchemeConfig, known) -> tuple:
         norm = new_norm
         trace.append(norm)
         if norm <= config.newton_tol * scale:
-            converged = True
             break
-    if not converged:
+    else:
         raise NewtonDivergence(n, trace)
 
     report = StepReport(
         step_index=n,
         newton_iters=iters,
         final_residual=norm / scale,
-        converged=True,
         residual_trace=tuple(trace),
     )
     hist._append(u, w, theta, report)

@@ -5,14 +5,31 @@ different numerics than the package (binomials instead of the recursion,
 dense matrices instead of banded, generic quadrature instead of closed
 forms, extended precision instead of double) so that agreement is
 evidence rather than tautology.
+
+The second half holds helpers that only the tests use: per-step
+fractional operators, the resolvent kernels of the linear
+cross-checks, diagnostics of a run, and the CSV reader of the tables.
 """
+
+from dataclasses import dataclass
+from math import gamma as _gamma
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import binom, rgamma
 
-from fracch.fem1d import FeFunction, UniformMesh1D
+from fracch.fem1d import (
+    FeFunction,
+    SymTridiagonal,
+    UniformMesh1D,
+    assemble_mass,
+    assemble_stiffness,
+    cubic_jacobian,
+    gauss_values,
+    l2_norm,
+)
 from fracch.fracops import CqWeights, cq_weights
+from fracch.harness import ErrorTable, theoretical_rate
 
 
 def binomial_weights(order: float, n_max: int) -> np.ndarray:
@@ -258,3 +275,214 @@ def classic_mixed_be(mesh, epsilon, tau, num_steps, forcing, u0, tol=1e-13):
             theta = theta + dz[2 * n]
         states[step] = u
     return states
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests use.
+
+
+def frac_apply(weights: CqWeights, tau: float, history: np.ndarray) -> np.ndarray:
+    """Apply the discrete operator to a history phi_0..phi_n at step n.
+
+    Returns tau**(-order) * sum_j a_{n-j} phi_j, where n = len(history)-1.
+    ``history`` may be a 1-d array of scalars or a 2-d array whose rows are
+    state vectors; the result has the shape of one entry.
+    """
+    if tau <= 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    hist = np.asarray(history, dtype=float)
+    n = hist.shape[0] - 1
+    if n < 0:
+        raise ValueError("history must contain at least one entry")
+    if n + 1 > len(weights.weights):
+        raise ValueError(
+            f"history length {n + 1} exceeds available weights {len(weights.weights)}"
+        )
+    rev = weights.weights[: n + 1][::-1]
+    return tau ** (-weights.order) * (rev @ hist)
+
+
+def weight_convolution_check(alpha: float, n_max: int) -> float:
+    """Max deviation of a^(alpha) * a^(-alpha) from the Kronecker delta.
+
+    The generating functions multiply to 1, so the discrete convolution of
+    the two weight families must reproduce (1, 0, 0, ...).  Returns the
+    largest absolute deviation up to index n_max.
+    """
+    wp = cq_weights(alpha, n_max).weights
+    wm = cq_weights(-alpha, n_max).weights
+    conv = np.convolve(wp, wm)[: n_max + 1]
+    conv[0] -= 1.0
+    return float(np.max(np.abs(conv)))
+
+
+def weight_lower_bound_check(alpha: float, tau: float, n_max: int) -> bool:
+    """Check tau^alpha * a_n^(-alpha) >= tau * t_n^(alpha-1) / (2*Gamma(alpha)).
+
+    The integration weights of order -alpha stay within a factor of two of
+    the kernel values t^(alpha-1)/Gamma(alpha) at the grid points.  The
+    bare ratio a_n^(-alpha) * Gamma(alpha) * n^(1-alpha) equals
+    Gamma(n+alpha)/(Gamma(n+1)*n^(alpha-1)), which increases to 1 from
+    below, so the factor 1/2 (in fact Gamma(1+alpha)) is what actually
+    holds; this is the estimate the error analysis needs to control the
+    noise memory term.  Verified for n = 1..n_max.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if tau <= 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    w = cq_weights(-alpha, n_max).weights
+    n = np.arange(1, n_max + 1)
+    lhs = tau**alpha * w[1:]
+    rhs = tau * (n * tau) ** (alpha - 1.0) / (2.0 * _gamma(alpha))
+    return bool(np.all(lhs >= rhs))
+
+
+@dataclass(frozen=True)
+class KernelSeries:
+    """Discrete resolvent kernels of one eigenmode.
+
+    ``r[0] == q[0] == 1`` by convention (the index-0 coefficients are never
+    used in the solution representation, which convolves from index 1).
+    """
+
+    alpha: float
+    gamma: float
+    lam: float
+    tau: float
+    r: np.ndarray
+    q: np.ndarray
+
+
+def _series_inverse(b: np.ndarray) -> np.ndarray:
+    """Coefficients of 1/b(z) for a power series with b[0] != 0."""
+    c = np.empty_like(b)
+    c[0] = 1.0 / b[0]
+    for n in range(1, len(b)):
+        c[n] = -(b[1 : n + 1] @ c[n - 1 :: -1]) / b[0]
+    return c
+
+
+def resolvent_kernels(
+    lam: float, alpha: float, gamma: float, tau: float, n_max: int
+) -> KernelSeries:
+    """Kernel sequences r_0..r_n and q_0..q_n for eigenvalue ``lam``.
+
+    They represent the solution of the scalar scheme
+
+        tau^{-alpha} * sum_j a^{(alpha)}_{n-j} u_j + lam^2 u_n = f_n
+
+    as discrete convolutions: ``r`` propagates a plain forcing history and
+    ``q`` a forcing history that enters through an extra fractional
+    integral of order gamma.  With b(z) = tau^{-alpha} (1-z)^alpha + lam^2
+    and c = 1/b (power series division, O(n^2)):
+
+        r_n = c_{n-1} / tau                          (n >= 1)
+        q_n = tau^{gamma-1} * (c * a^(-gamma))_{n-1}  (n >= 1)
+
+    For gamma = 0 the two sequences coincide; for lam = 0 they reduce to
+    pure fractional-integration weights.
+    """
+    if lam < 0.0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    if tau <= 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    b = tau ** (-alpha) * cq_weights(alpha, n_max).weights
+    b[0] += lam**2
+    c = _series_inverse(b)
+    r = np.empty(n_max + 1)
+    r[0] = 1.0
+    r[1:] = c[:-1] / tau
+    q = np.empty(n_max + 1)
+    q[0] = 1.0
+    if n_max >= 1:
+        ag = cq_weights(-gamma, n_max - 1).weights
+        q[1:] = tau ** (gamma - 1.0) * np.convolve(c[:-1], ag)[:n_max]
+    return KernelSeries(alpha, gamma, lam, tau, r, q)
+
+
+def nonlinear_jacobian(u: FeFunction) -> SymTridiagonal:
+    """Jacobian of ``fem1d.nonlinear_load``: entries int (3u^2-1) chi_i chi_j."""
+    return cubic_jacobian(gauss_values(u), u.mesh.h)
+
+
+def project_mean_zero(u: FeFunction) -> FeFunction:
+    """Subtract the mean value so the result is L2-orthogonal to constants."""
+    mass = assemble_mass(u.mesh)
+    ones = np.ones(u.mesh.num_nodes)
+    measure = ones @ mass.matvec(ones)
+    mean = (ones @ mass.matvec(u.coeffs)) / measure
+    return FeFunction(u.mesh, u.coeffs - mean)
+
+
+def h1_seminorm(u: FeFunction) -> float:
+    q = u.coeffs @ assemble_stiffness(u.mesh).matvec(u.coeffs)
+    return float(np.sqrt(max(q, 0.0)))
+
+
+def history_mass(hist, n: int) -> float:
+    """The conserved functional (U^n, 1) of a ``SolutionHistory``."""
+    return float(hist.workspace.me @ hist.state(n))
+
+
+def max_laplacian_norm(hist) -> float:
+    """max_n of the L2 norm of the discrete Laplacian of U^n."""
+    ws = hist.workspace
+    out = 0.0
+    for n in range(hist.size):
+        v = ws.mass.solve(ws.stiff.matvec(hist.state(n)))
+        out = max(out, l2_norm(FeFunction(hist.config.mesh, v)))
+    return out
+
+
+def strict_temporal_rate(alpha: float, gamma: float, beta: float) -> float:
+    """Uniform-in-time temporal order min(alpha/2, mu, zeta)."""
+    summary = theoretical_rate(alpha, gamma, beta)
+    return min(alpha / 2.0, summary.mu, summary.zeta)
+
+
+def error_norm(errors) -> float:
+    """Root-mean-square of the spatial L2 norms of the sample errors."""
+    errors = list(errors)
+    if not errors:
+        raise ValueError("empty sample set")
+    sq = [l2_norm(e) ** 2 for e in errors]
+    return float(np.sqrt(np.mean(sq)))
+
+
+def read_table(source) -> ErrorTable:
+    """Parse a file produced by ``harness.emit_table``."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "r", encoding="ascii") as fh:
+            text = fh.read()
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != "resolution,error,pairwise_rate":
+        raise ValueError("not an error-table file")
+    resolutions, errors, pw = [], [], []
+    fitted = theory = float("nan")
+    for ln in lines[1:]:
+        first, second, third = ln.split(",")
+        if first == "fitted_rate":
+            fitted = float(second)
+        elif first == "theoretical_rate":
+            theory = float(second)
+        else:
+            resolutions.append(int(first))
+            errors.append(float(second))
+            if third:
+                pw.append(float(third))
+    return ErrorTable(
+        resolutions=tuple(resolutions),
+        errors=tuple(errors),
+        pairwise_rates=tuple(pw),
+        fitted_rate=fitted,
+        theoretical_rate=theory,
+    )

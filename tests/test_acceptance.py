@@ -18,13 +18,7 @@ from fracch.fem1d import (
     assemble_stiffness,
     cosine_projection_basis,
     l2_norm,
-    nonlinear_jacobian,
     nonlinear_load,
-)
-from fracch.fracops import (
-    resolvent_kernels,
-    weight_convolution_check,
-    weight_lower_bound_check,
 )
 from fracch.harness import (
     ExperimentPlan,
@@ -43,7 +37,13 @@ from fracch.noise import (
     sample_path,
 )
 from fracch.solver import SchemeConfig, initial_state, run_path
-from oracles import classic_mixed_be
+from oracles import (
+    classic_mixed_be,
+    nonlinear_jacobian,
+    resolvent_kernels,
+    weight_convolution_check,
+    weight_lower_bound_check,
+)
 
 
 def _line(num: int, status: str, detail: str) -> None:

@@ -3,10 +3,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from fracch.cli import main
 from fracch.fracops import cq_weights
-from fracch.harness import ExperimentPlan, read_table, run_temporal_study
+from fracch.harness import ExperimentPlan, run_temporal_study
+from oracles import read_table
 
 
 def test_weights_to_file(tmp_path):
@@ -69,6 +71,27 @@ def test_validate_unknown_config_key(tmp_path, capsys):
     rc = main(["validate", "--config", str(cfg)])
     assert rc == 2
     assert "unknown config field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"resolutions": 20}',
+    '{"samples": 1.5}',
+    '{"workers": true}',
+    '{"t_final": Infinity}',
+    '[20, 40]',
+])
+def test_validate_bad_types_are_one_error_line(tmp_path, doc):
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracch.cli", "validate", "--config", str(cfg)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_simulate_deterministic(capsys):

@@ -8,14 +8,17 @@ from fracch.fem1d import (
     assemble_mass,
     assemble_stiffness,
     cosine_projection_basis,
-    h1_seminorm,
     l2_norm,
     l2_project_cosine,
-    nonlinear_jacobian,
     nonlinear_load,
+)
+from oracles import (
+    cosine_load_adaptive,
+    h1_seminorm,
+    load_vector_quadrature,
+    nonlinear_jacobian,
     project_mean_zero,
 )
-from oracles import cosine_load_adaptive, load_vector_quadrature
 
 
 def test_mesh_basics():
@@ -135,6 +138,9 @@ def test_projection_basis_matches_single_solves():
     mesh = UniformMesh1D(40)
     basis = cosine_projection_basis(mesh, 6)
     assert basis.shape == (41, 6)
+    # cached and shared, so read-only
+    assert cosine_projection_basis(UniformMesh1D(40), 6) is basis
+    assert not basis.flags.writeable
     for j in range(1, 7):
         single = l2_project_cosine(mesh, j).coeffs
         assert np.allclose(basis[:, j - 1], single, rtol=0, atol=1e-14)

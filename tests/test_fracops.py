@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fracch.fracops import (
-    cq_weights,
+from fracch.fracops import cq_weights
+from oracles import (
+    binomial_weights,
     frac_apply,
     resolvent_kernels,
+    rl_integral_of_power,
+    scalar_cq_solve,
     weight_convolution_check,
     weight_lower_bound_check,
 )
-from oracles import binomial_weights, rl_integral_of_power, scalar_cq_solve
 
 
 def test_weights_frozen_values():

@@ -13,13 +13,11 @@ from fracch.harness import (
     effective_regularity,
     emit_table,
     ensure_valid,
-    error_norm,
     fit_rate,
     linear_oracle_table,
     nominal_regularity,
     pairwise_rates,
     plan_from_json,
-    read_table,
     run_spatial_study,
     run_study,
     run_temporal_study,
@@ -30,6 +28,7 @@ from fracch.harness import (
 from fracch import harness
 from fracch.noise import ProjectedNoiseTrack
 from fracch.solver import MassDriftError, NewtonDivergence
+from oracles import error_norm, read_table, strict_temporal_rate
 
 
 def test_theoretical_rate_pinned_values():
@@ -48,8 +47,8 @@ def test_theoretical_rate_pinned_values():
         assert abs(round(got, 3) - expected) <= 1e-12
 
     # strict (uniform-in-time) order carries the extra alpha/2 cap
-    assert abs(theoretical_rate(0.75, 0.8, 2.0).temporal - 0.375) <= 1e-12
-    assert abs(theoretical_rate(0.5, 0.3, 1.5).temporal - 0.2375) <= 1e-12
+    assert abs(strict_temporal_rate(0.75, 0.8, 2.0) - 0.375) <= 1e-12
+    assert abs(strict_temporal_rate(0.5, 0.3, 1.5) - 0.2375) <= 1e-12
 
 
 def test_theoretical_rate_spatial():
@@ -140,8 +139,22 @@ def test_plan_from_json_aliases():
     assert plan3 == plan2
     assert plan_from_json(plan2) is plan2
 
-    with pytest.raises(ConfigError):
-        plan_from_json({"tau": 0.1})
+    for bad in [
+        {"tau": 0.1},
+        {"resolutions": 20},
+        {"resolutions": [4, 8.5]},
+        {"samples": 1.5},
+        {"workers": True},
+        {"num_modes": "3"},
+        {"t_final": math.inf},
+        {"alpha": math.nan},
+        {"epsilon": False},
+        "[1, 2]",
+    ]:
+        with pytest.raises(ConfigError):
+            plan_from_json(bad)
+    # null stays allowed where the field is optional
+    assert plan_from_json({"epsilon": None, "num_modes": None}) == ExperimentPlan()
 
 
 def test_resolved_properties():
@@ -268,8 +281,8 @@ def test_worker_count_does_not_change_results():
     assert serial.fitted_rate == parallel.fitted_rate
 
 
-def test_tiny_spatial_study():
-    plan = ExperimentPlan(
+def tiny_spatial_plan(**overrides):
+    base = dict(
         study="spatial",
         case="a",
         alpha=0.5,
@@ -282,6 +295,12 @@ def test_tiny_spatial_study():
         samples=2,
         master_seed=9,
     )
+    base.update(overrides)
+    return ExperimentPlan(**base)
+
+
+def test_tiny_spatial_study():
+    plan = tiny_spatial_plan()
     table = run_spatial_study(plan)
     assert table.samples == 2
     assert len(table.errors) == 2
@@ -292,16 +311,20 @@ def test_tiny_spatial_study():
 
 
 def test_divergence_policies():
-    # an unreachable tolerance turns every Newton solve into a failure
-    abort = tiny_temporal_plan(newton_tol=1e-300, newton_max=1, samples=2)
-    with pytest.raises(NewtonDivergence) as info:
-        run_temporal_study(abort)
-    assert "sample 0" in info.value.context
+    # an unreachable tolerance turns every Newton solve into a failure;
+    # abort reports the lowest failing index for any axis and worker count
+    for tiny_plan in (tiny_temporal_plan, tiny_spatial_plan):
+        for workers in (1, 2):
+            abort = tiny_plan(newton_tol=1e-300, newton_max=1, samples=2,
+                              workers=workers)
+            with pytest.raises(NewtonDivergence) as info:
+                run_study(abort)
+            assert "sample 0" in info.value.context
 
-    drop = tiny_temporal_plan(newton_tol=1e-300, newton_max=1, samples=2,
-                              policy="drop")
-    with pytest.raises(RuntimeError, match="dropped"):
-        run_temporal_study(drop)
+            drop = tiny_plan(newton_tol=1e-300, newton_max=1, samples=2,
+                             workers=workers, policy="drop")
+            with pytest.raises(RuntimeError, match="dropped"):
+                run_study(drop)
 
 
 def test_mass_drift_policies(monkeypatch):
@@ -324,11 +347,12 @@ def test_mass_drift_policies(monkeypatch):
     monkeypatch.setattr(harness, "path_stream", stream)
     monkeypatch.setattr(harness, "project_increments", project)
 
-    table = run_temporal_study(tiny_temporal_plan(policy="drop"))
-    assert table.dropped == (1,)
-    assert table.samples == 2
-    with pytest.raises(MassDriftError):
-        run_temporal_study(tiny_temporal_plan())
+    for tiny_plan in (tiny_temporal_plan, tiny_spatial_plan):
+        table = run_study(tiny_plan(samples=3, policy="drop"))
+        assert table.dropped == (1,)
+        assert table.samples == 2
+        with pytest.raises(MassDriftError):
+            run_study(tiny_plan(samples=3))
 
 
 def test_linear_oracle_table_small():
