@@ -17,7 +17,6 @@ from fracch.fracops import CqWeights, cq_weights
 from fracch.harness import (
     ErrorTable,
     ExperimentPlan,
-    emit_table,
     plan_from_json,
     run_study,
     theoretical_rate,
@@ -28,6 +27,7 @@ from fracch.noise import BrownianPath, NoiseSpec, ProjectedNoiseTrack
 from fracch.solver import (
     MassDriftError,
     NewtonDivergence,
+    PathFailure,
     SchemeConfig,
     SolutionHistory,
     StepReport,
@@ -47,6 +47,7 @@ __all__ = [
     "MassDriftError",
     "NewtonDivergence",
     "NoiseSpec",
+    "PathFailure",
     "ProjectedNoiseTrack",
     "SchemeConfig",
     "SolutionHistory",
@@ -54,7 +55,6 @@ __all__ = [
     "SymTridiagonal",
     "UniformMesh1D",
     "cq_weights",
-    "emit_table",
     "initial_state",
     "mittag_leffler",
     "plan_from_json",

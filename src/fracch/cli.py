@@ -19,20 +19,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from dataclasses import fields
 
 from fracch import harness
-from fracch.fem1d import UniformMesh1D
+from fracch.fem1d import FeFunction, UniformMesh1D, l2_norm
 from fracch.fracops import cq_weights
 from fracch.noise import (
     NoiseSpec,
-    dump_increments,
+    increments_csv,
     path_stream,
     project_increments,
     sample_path,
 )
-from fracch.solver import NewtonDivergence, SchemeConfig, dump_trajectory, run_path
+from fracch.solver import SchemeConfig, run_path, trajectory_csv
 
 
 def _write_text(dest: str, text: str) -> None:
@@ -44,21 +43,25 @@ def _write_text(dest: str, text: str) -> None:
 
 
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
+    # every dest but config's is the ExperimentPlan field the flag sets
     p.add_argument("--config", help="JSON plan file; flags override its fields")
     p.add_argument("--study", choices=["temporal", "spatial"])
     p.add_argument("--case", choices=["a", "b"])
     p.add_argument("--alpha", type=float)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--m", type=float, help="mode variance decay exponent")
+    p.add_argument("--m", type=float, dest="decay_exponent",
+                   help="mode variance decay exponent")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--t-final", type=float)
     p.add_argument("--resolutions", help="comma separated, e.g. 20,40,80,160")
     p.add_argument("--reference", type=int)
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--mesh", type=int, help="fixed mesh size of temporal studies")
-    p.add_argument("--steps", type=int, help="fixed step count of spatial studies")
-    p.add_argument("--modes", type=int)
+    p.add_argument("--seed", type=int, dest="master_seed")
+    p.add_argument("--mesh", type=int, dest="mesh_size",
+                   help="fixed mesh size of temporal studies")
+    p.add_argument("--steps", type=int, dest="num_steps",
+                   help="fixed step count of spatial studies")
+    p.add_argument("--modes", type=int, dest="num_modes")
     p.add_argument("--policy", choices=["abort", "drop"])
     p.add_argument("--workers", type=int)
 
@@ -70,27 +73,18 @@ def _plan_from_args(args) -> harness.ExperimentPlan:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise harness.ConfigError(f"{args.config} does not hold a JSON object")
-    overrides = {
-        "study": args.study,
-        "case": args.case,
-        "alpha": args.alpha,
-        "gamma": args.gamma,
-        "m": args.m,
-        "epsilon": args.epsilon,
-        "t_final": args.t_final,
-        "reference": args.reference,
-        "samples": args.samples,
-        "seed": args.seed,
-        "mesh_size": args.mesh,
-        "num_steps": args.steps,
-        "num_modes": args.modes,
-        "policy": args.policy,
-        "workers": args.workers,
-    }
+    flags = dict(vars(args))
     if args.resolutions:
-        overrides["resolutions"] = [int(t) for t in args.resolutions.split(",")]
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    return harness.plan_from_json(data)
+        flags["resolutions"] = [int(t) for t in args.resolutions.split(",")]
+    overrides = {
+        f.name: flags[f.name]
+        for f in fields(harness.ExperimentPlan)
+        if flags.get(f.name) is not None
+    }
+    # plan_from_json applies keys in order, so the flags, placed last,
+    # also beat a file key that is an alias of the same field
+    data = {k: v for k, v in data.items() if k not in overrides}
+    return harness.plan_from_json({**data, **overrides})
 
 
 def _cmd_study(args) -> int:
@@ -136,6 +130,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    if args.dump_noise and args.no_noise:
+        raise ValueError("--dump-noise needs noise (drop --no-noise)")
     mesh = UniformMesh1D(args.mesh)
     config = SchemeConfig(
         mesh=mesh,
@@ -154,13 +152,11 @@ def _cmd_simulate(args) -> int:
         track = project_increments(path, mesh)
     hist = run_path(config, args.case, track)
     if args.dump_trajectory:
-        dump_trajectory(hist, args.dump_trajectory)
+        _write_text(args.dump_trajectory, trajectory_csv(hist))
     if args.dump_noise:
-        if path is None:
-            raise ValueError("--dump-noise needs noise (drop --no-noise)")
-        dump_increments(path, args.dump_noise)
+        _write_text(args.dump_noise, increments_csv(path))
     iters = max(r.newton_iters for r in hist.reports)
-    norm = float(np.sqrt(hist.terminal @ hist.workspace.mass.matvec(hist.terminal)))
+    norm = l2_norm(FeFunction(mesh, hist.terminal))
     print(
         f"steps={config.num_steps} newton_max_iters={iters} "
         f"terminal_l2={norm:.6e} mass_drift={hist.max_mass_drift:.3e}"
@@ -220,7 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, OSError, NewtonDivergence) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -72,13 +72,6 @@ class SymTridiagonal:
         ab[2, :-1] = self.offdiag
         return solve_banded((1, 1), ab, rhs)
 
-    def toarray(self) -> np.ndarray:
-        return (
-            np.diag(self.diag)
-            + np.diag(self.offdiag, 1)
-            + np.diag(self.offdiag, -1)
-        )
-
 
 @dataclass(frozen=True)
 class GaussRule:
@@ -205,11 +198,6 @@ def cubic_jacobian(values: np.ndarray, h: float) -> SymTridiagonal:
     diag[:-1] += h * (psi @ _JAC_LL)
     diag[1:] += h * (psi @ _JAC_RR)
     return SymTridiagonal(diag, h * (psi @ _JAC_LR))
-
-
-def nonlinear_load(u: FeFunction) -> np.ndarray:
-    """Load vector of phi(u) = u^3 - u against the hat basis."""
-    return cubic_load(gauss_values(u), u.mesh.h)
 
 
 def l2_norm(u: FeFunction) -> float:

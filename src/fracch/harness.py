@@ -32,7 +32,6 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
-from io import StringIO
 
 import numpy as np
 
@@ -45,12 +44,7 @@ from fracch.noise import (
     project_increments,
     sample_path,
 )
-from fracch.solver import (
-    MassDriftError,
-    NewtonDivergence,
-    SchemeConfig,
-    run_path,
-)
+from fracch.solver import NewtonDivergence, PathFailure, SchemeConfig, run_path
 
 
 class ConfigError(ValueError):
@@ -221,8 +215,6 @@ def plan_from_json(source) -> ExperimentPlan:
     float fields holding anything but a finite number raise ConfigError;
     ranges are left to :func:`validate_config`.
     """
-    if isinstance(source, ExperimentPlan):
-        return source
     if isinstance(source, dict):
         data = dict(source)
     elif hasattr(source, "read"):
@@ -342,10 +334,6 @@ class ErrorTable:
     dropped: tuple = ()
 
 
-def _rms_columns(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.mean(np.square(rows), axis=0))
-
-
 def fit_rate(resolutions, errors) -> float:
     """Least-squares slope of log error against log resolution, negated."""
     x = np.log(np.asarray(resolutions, dtype=float))
@@ -415,7 +403,7 @@ def _sample(plan: ExperimentPlan, index: int):
             injected = np.interp(x_ref, mesh.nodes(), term)
             norms.append(l2_norm(FeFunction(mesh_ref, injected - ref)))
         return np.array(norms)
-    except (NewtonDivergence, MassDriftError):
+    except PathFailure:
         if plan.policy == "drop":
             return None
         raise
@@ -439,20 +427,14 @@ def _collect(plan: ExperimentPlan) -> tuple:
     return np.vstack(kept), dropped
 
 
-def _finish_table(plan: ExperimentPlan, rows: np.ndarray, dropped) -> ErrorTable:
-    errs = _rms_columns(rows)
-    beta = nominal_regularity(plan.decay_exponent)
-    summary = theoretical_rate(plan.alpha, plan.gamma, beta)
-    display = (
-        summary.spatial if plan.study == "spatial" else summary.temporal_fixed_time
-    )
+def _table(resolutions, errors, theory: float, samples: int, dropped=()) -> ErrorTable:
     return ErrorTable(
-        resolutions=tuple(plan.resolutions),
-        errors=tuple(float(e) for e in errs),
-        pairwise_rates=pairwise_rates(plan.resolutions, errs),
-        fitted_rate=fit_rate(plan.resolutions, errs),
-        theoretical_rate=display,
-        samples=rows.shape[0],
+        resolutions=tuple(resolutions),
+        errors=tuple(float(e) for e in errors),
+        pairwise_rates=pairwise_rates(resolutions, errors),
+        fitted_rate=fit_rate(resolutions, errors),
+        theoretical_rate=theory,
+        samples=samples,
         dropped=dropped,
     )
 
@@ -460,23 +442,16 @@ def _finish_table(plan: ExperimentPlan, rows: np.ndarray, dropped) -> ErrorTable
 def run_study(plan: ExperimentPlan) -> ErrorTable:
     ensure_valid(plan)
     rows, dropped = _collect(plan)
-    return _finish_table(plan, rows, dropped)
+    summary = theoretical_rate(
+        plan.alpha, plan.gamma, nominal_regularity(plan.decay_exponent)
+    )
+    theory = summary.spatial if plan.study == "spatial" else summary.temporal_fixed_time
+    rms = np.sqrt(np.mean(np.square(rows), axis=0))
+    return _table(plan.resolutions, rms, theory, rows.shape[0], dropped)
 
 
-def run_temporal_study(plan: ExperimentPlan) -> ErrorTable:
-    if plan.study != "temporal":
-        raise ConfigError(f"plan.study is {plan.study!r}, expected temporal")
-    return run_study(plan)
-
-
-def run_spatial_study(plan: ExperimentPlan) -> ErrorTable:
-    if plan.study != "spatial":
-        raise ConfigError(f"plan.study is {plan.study!r}, expected spatial")
-    return run_study(plan)
-
-
-def emit_table(table: ErrorTable, dest) -> None:
-    """Write the fixed CSV layout; refuses to write an empty table.
+def table_text(table: ErrorTable) -> str:
+    """The fixed CSV layout; refuses an empty table.
 
     Header ``resolution,error,pairwise_rate``, one line per resolution
     (first pairwise slot empty), then exactly two footer lines with the
@@ -491,18 +466,7 @@ def emit_table(table: ErrorTable, dest) -> None:
         lines.append(f"{res},{err:.17g},{rate}")
     lines.append(f"fitted_rate,{table.fitted_rate:.17g},")
     lines.append(f"theoretical_rate,{table.theoretical_rate:.17g},")
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
-def table_text(table: ErrorTable) -> str:
-    buf = StringIO()
-    emit_table(table, buf)
-    return buf.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def linear_oracle_table(
@@ -521,6 +485,9 @@ def linear_oracle_table(
     expected outcome; the spatial projection error is shared by both
     sides and cancels to leading order.
     """
+    resolutions = tuple(int(n) for n in resolutions)
+    if min(resolutions, default=0) < 1:
+        raise ValueError(f"resolutions must be step counts >= 1, got {resolutions}")
     mesh = UniformMesh1D(mesh_size)
     state = SpectralState(alpha=alpha, epsilon=epsilon, modes=case_b_modes(num_modes))
     exact_nodes = synthesize_modes(
@@ -540,12 +507,4 @@ def linear_oracle_table(
         )
         term = run_path(config, "b").terminal
         errs.append(l2_norm(FeFunction(mesh, term - exact_nodes)))
-    errs = np.array(errs)
-    return ErrorTable(
-        resolutions=tuple(int(n) for n in resolutions),
-        errors=tuple(float(e) for e in errs),
-        pairwise_rates=pairwise_rates(tuple(resolutions), errs),
-        fitted_rate=fit_rate(resolutions, errs),
-        theoretical_rate=1.0,
-        samples=1,
-    )
+    return _table(resolutions, np.array(errs), 1.0, 1)

@@ -174,17 +174,10 @@ def integrated_noise(
     return track.tau ** -weights.order * (block @ track.values[1 : last + 1])
 
 
-def dump_increments(path: BrownianPath, dest) -> None:
-    """Write rows ``j,k,increment`` (1-based mode and step indices)."""
-
-    def _write(fh):
-        fh.write("j,k,increment\n")
-        for j in range(path.spec.num_modes):
-            for k in range(path.num_steps):
-                fh.write(f"{j + 1},{k + 1},{path.increments[j, k]:.17g}\n")
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            _write(fh)
+def increments_csv(path: BrownianPath) -> str:
+    """Rows ``j,k,increment`` (1-based mode and step indices)."""
+    lines = ["j,k,increment"]
+    for j in range(path.spec.num_modes):
+        for k in range(path.num_steps):
+            lines.append(f"{j + 1},{k + 1},{path.increments[j, k]:.17g}")
+    return "\n".join(lines) + "\n"

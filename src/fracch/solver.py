@@ -47,7 +47,6 @@ from fracch.fem1d import (
     gauss_values,
     l2_norm,
     l2_project_cosine,
-    nonlinear_load,
 )
 from fracch.fracops import cq_block, cq_weights
 from fracch.noise import ProjectedNoiseTrack, integrated_noise
@@ -102,7 +101,12 @@ class StepReport:
     residual_trace: tuple
 
 
-class NewtonDivergence(RuntimeError):
+class PathFailure(RuntimeError):
+    """A sample path could not be completed; the study's policy decides
+    whether it aborts the study or is dropped."""
+
+
+class NewtonDivergence(PathFailure):
     """Newton failed to converge; carries the residual trace."""
 
     def __init__(self, step_index: int, residuals, context: str = ""):
@@ -120,7 +124,7 @@ class NewtonDivergence(RuntimeError):
         return (NewtonDivergence, (self.step_index, self.residuals, self.context))
 
 
-class MassDriftError(RuntimeError):
+class MassDriftError(PathFailure):
     """Mass conservation broke down along a path."""
 
 
@@ -161,10 +165,13 @@ class _Workspace:
         self.border_col = border
 
 
-def _phi_load(config: SchemeConfig, mesh: UniformMesh1D, u: np.ndarray) -> np.ndarray:
+def _cubic(config: SchemeConfig, u: np.ndarray) -> tuple:
+    """u's Gauss values and the load of phi(u), or (None, 0.0) when the
+    cubic term is off."""
     if not config.include_phi:
-        return np.zeros_like(u)
-    return nonlinear_load(FeFunction(mesh, u))
+        return None, 0.0
+    values = gauss_values(FeFunction(config.mesh, u))
+    return values, cubic_load(values, config.mesh.h)
 
 
 class SolutionHistory:
@@ -183,8 +190,8 @@ class SolutionHistory:
         self._states[0] = u0
         self.size = 1
         ws = self.workspace
-        f0 = _phi_load(config, config.mesh, u0)
-        theta0 = float(f0.sum())  # (phi(u0), 1); hat loads sum to the integral
+        _, f0 = _cubic(config, u0)
+        theta0 = float(np.sum(f0))  # (phi(u0), 1); hat loads sum to the integral
         self.w = ws.mass.solve(
             config.epsilon**2 * ws.stiff.matvec(u0) + f0 - theta0 * ws.me
         )
@@ -248,14 +255,13 @@ def _residual_norm(res1, res2, res3) -> float:
     return float(np.sqrt(res1 @ res1 + res2 @ res2 + res3 * res3))
 
 
-def step(hist: SolutionHistory, config: SchemeConfig, known) -> tuple:
+def step(hist: SolutionHistory, known) -> tuple:
     """Advance the history by one step; returns (new state, StepReport).
 
     ``known`` is the nodal vector tau^{-alpha} U^0 - H^n + b^n of the terms
     that do not depend on U^n (see :func:`run_path`).
     """
-    if config != hist.config:
-        raise ValueError("config does not match the one the history was built with")
+    config = hist.config
     n = hist.size
     if n > config.num_steps:
         raise RuntimeError(f"history already holds all {config.num_steps} steps")
@@ -269,8 +275,7 @@ def step(hist: SolutionHistory, config: SchemeConfig, known) -> tuple:
 
     def evaluate(u, w, theta):
         """Residual blocks and the Gauss values of u (None without phi)."""
-        ug = gauss_values(FeFunction(mesh, u)) if config.include_phi else None
-        load = 0.0 if ug is None else cubic_load(ug, mesh.h)
+        ug, load = _cubic(config, u)
         res1 = ws.tau_na * ws.mass.matvec(u) + ws.stiff.matvec(w) - rhs1
         res2 = ws.mass.matvec(w) - eps2 * ws.stiff.matvec(u) - load + theta * ws.me
         return (res1, res2, float(ws.me @ w)), ug
@@ -306,22 +311,17 @@ def step(hist: SolutionHistory, config: SchemeConfig, known) -> tuple:
         dz = y1 - dtheta * y2
         du, dw = dz[0::2], dz[1::2]
 
-        u_new = u + du
-        w_new = w + dw
-        theta_new = theta + dtheta
-        (r1, r2, r3), ug_new = evaluate(u_new, w_new, theta_new)
-        new_norm = _residual_norm(r1, r2, r3)
-        if not np.isfinite(new_norm):
-            raise NewtonDivergence(n, trace + [new_norm])
-        if new_norm > norm:
-            # single halving, then accept whatever comes out
-            u_new = u + 0.5 * du
-            w_new = w + 0.5 * dw
-            theta_new = theta + 0.5 * dtheta
+        for halve in (False, True):
+            if halve:
+                # single halving, then accept whatever comes out
+                du, dw, dtheta = 0.5 * du, 0.5 * dw, 0.5 * dtheta
+            u_new, w_new, theta_new = u + du, w + dw, theta + dtheta
             (r1, r2, r3), ug_new = evaluate(u_new, w_new, theta_new)
             new_norm = _residual_norm(r1, r2, r3)
             if not np.isfinite(new_norm):
                 raise NewtonDivergence(n, trace + [new_norm])
+            if new_norm <= norm:
+                break
         u, w, theta, ug = u_new, w_new, theta_new, ug_new
         res1, res2, res3 = r1, r2, r3
         norm = new_norm
@@ -383,7 +383,7 @@ def run_path(
         for i in range(rows):
             # near part: the states U^first..U^{n-1} of this block
             near = a[i:0:-1] @ (hist.states_array()[first:] - start)
-            step(hist, config, known[i] - ws.tau_na * near)
+            step(hist, known[i] - ws.tau_na * near)
             if hist.max_mass_drift > mass_tol:
                 raise MassDriftError(
                     f"mass conservation broke at step {first + i}: "
@@ -392,18 +392,11 @@ def run_path(
     return hist
 
 
-def dump_trajectory(hist: SolutionHistory, dest) -> None:
-    """Write CSV rows (n, t_n, nodal values...) for plotting."""
-
-    def _write(fh):
-        nodes = hist.config.mesh.num_nodes
-        fh.write("n,t," + ",".join(f"u{i}" for i in range(nodes)) + "\n")
-        for n in range(hist.size):
-            vals = ",".join(f"{v:.17g}" for v in hist.state(n))
-            fh.write(f"{n},{n * hist.config.tau:.17g},{vals}\n")
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            _write(fh)
+def trajectory_csv(hist: SolutionHistory) -> str:
+    """CSV rows (n, t_n, nodal values...) for plotting."""
+    nodes = hist.config.mesh.num_nodes
+    lines = ["n,t," + ",".join(f"u{i}" for i in range(nodes))]
+    for n in range(hist.size):
+        vals = ",".join(f"{v:.17g}" for v in hist.state(n))
+        lines.append(f"{n},{n * hist.config.tau:.17g},{vals}")
+    return "\n".join(lines) + "\n"

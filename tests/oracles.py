@@ -25,6 +25,7 @@ from fracch.fem1d import (
     assemble_mass,
     assemble_stiffness,
     cubic_jacobian,
+    cubic_load,
     gauss_values,
     l2_norm,
 )
@@ -407,8 +408,22 @@ def resolvent_kernels(
     return KernelSeries(alpha, gamma, lam, tau, r, q)
 
 
+def dense(matrix: SymTridiagonal) -> np.ndarray:
+    """The full square array of a symmetric tridiagonal matrix."""
+    return (
+        np.diag(matrix.diag)
+        + np.diag(matrix.offdiag, 1)
+        + np.diag(matrix.offdiag, -1)
+    )
+
+
+def nonlinear_load(u: FeFunction) -> np.ndarray:
+    """Load vector of phi(u) = u^3 - u against the hat basis."""
+    return cubic_load(gauss_values(u), u.mesh.h)
+
+
 def nonlinear_jacobian(u: FeFunction) -> SymTridiagonal:
-    """Jacobian of ``fem1d.nonlinear_load``: entries int (3u^2-1) chi_i chi_j."""
+    """Jacobian of :func:`nonlinear_load`: entries int (3u^2-1) chi_i chi_j."""
     return cubic_jacobian(gauss_values(u), u.mesh.h)
 
 
@@ -457,7 +472,7 @@ def error_norm(errors) -> float:
 
 
 def read_table(source) -> ErrorTable:
-    """Parse a file produced by ``harness.emit_table``."""
+    """Parse the text of ``harness.table_text`` from a file or a stream."""
     if hasattr(source, "read"):
         text = source.read()
     else:

@@ -18,13 +18,10 @@ from fracch.fem1d import (
     assemble_stiffness,
     cosine_projection_basis,
     l2_norm,
-    nonlinear_load,
 )
 from fracch.harness import (
     ExperimentPlan,
     linear_oracle_table,
-    run_spatial_study,
-    run_temporal_study,
     run_study,
     table_text,
     theoretical_rate,
@@ -39,7 +36,9 @@ from fracch.noise import (
 from fracch.solver import SchemeConfig, initial_state, run_path
 from oracles import (
     classic_mixed_be,
+    dense,
     nonlinear_jacobian,
+    nonlinear_load,
     resolvent_kernels,
     weight_convolution_check,
     weight_lower_bound_check,
@@ -166,7 +165,7 @@ def _temporal_plan(alpha, gamma, case, decay):
 def test_criterion_5():
     fitted = []
     for alpha, gamma, target in ((0.5, 0.5, 0.61), (0.75, 0.8, 0.82)):
-        table = run_temporal_study(_temporal_plan(alpha, gamma, "a", 2.0))
+        table = run_study(_temporal_plan(alpha, gamma, "a", 2.0))
         assert table.dropped == ()
         assert abs(table.fitted_rate - target) <= 0.25
         fitted.append(table.fitted_rate)
@@ -175,7 +174,7 @@ def test_criterion_5():
 
 @_guard(6, lambda r: f"temporal fitted rate {r:.3f} (target 1.01)")
 def test_criterion_6():
-    table = run_temporal_study(_temporal_plan(0.75, 0.8, "b", 1.0))
+    table = run_study(_temporal_plan(0.75, 0.8, "b", 1.0))
     assert table.dropped == ()
     assert abs(table.fitted_rate - 1.01) <= 0.3
     return table.fitted_rate
@@ -198,7 +197,7 @@ def test_criterion_7():
             samples=100,
             master_seed=2026,
         )
-        table = run_spatial_study(plan)
+        table = run_study(plan)
         assert table.dropped == ()
         assert table.fitted_rate >= 1.7
         assert abs(table.fitted_rate - 2.15) <= 0.3
@@ -301,8 +300,8 @@ def _jacobian_fd_checks():
     # dense finite differences through the full coupled residual
     mesh = UniformMesh1D(16)
     nn = mesh.num_nodes
-    mass = assemble_mass(mesh).toarray()
-    stiff = assemble_stiffness(mesh).toarray()
+    mass = dense(assemble_mass(mesh))
+    stiff = dense(assemble_stiffness(mesh))
     me = mass @ np.ones(nn)
     alpha, tau, eps = 0.6, 0.05, 0.7
     scale = tau**-alpha
@@ -320,7 +319,7 @@ def _jacobian_fd_checks():
         jac[:nn, :nn] = scale * mass
         jac[:nn, nn : 2 * nn] = stiff
         jac[nn : 2 * nn, :nn] = (
-            -(eps**2) * stiff - nonlinear_jacobian(FeFunction(mesh, y[:nn])).toarray()
+            -(eps**2) * stiff - dense(nonlinear_jacobian(FeFunction(mesh, y[:nn])))
         )
         jac[nn : 2 * nn, nn : 2 * nn] = mass
         jac[nn : 2 * nn, -1] = me

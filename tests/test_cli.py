@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from fracch import harness
 from fracch.cli import main
 from fracch.fracops import cq_weights
-from fracch.harness import ExperimentPlan, run_temporal_study
+from fracch.harness import ExperimentPlan, run_study
 from oracles import read_table
 
 
@@ -94,6 +95,32 @@ def test_validate_bad_types_are_one_error_line(tmp_path, doc):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--steps", "0", "--mesh", "8"],
+    ["oracle", "--alpha", "0.5", "--resolutions", "0,4", "--mesh", "8"],
+])
+def test_bad_arguments_are_one_error_line(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracch.cli", *argv], capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_plan_flags_override_config_aliases(tmp_path, monkeypatch):
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps({"m": 1.0, "seed": 5, "T": 0.02}))
+    seen = []
+    monkeypatch.setattr(harness, "validate_config", lambda plan: seen.append(plan) or [])
+    assert main(["validate", "--config", str(cfg), "--m", "3", "--seed", "7"]) == 0
+    assert seen[0].decay_exponent == 3.0
+    assert seen[0].master_seed == 7
+    assert seen[0].t_final == 0.02
+
+
 def test_simulate_deterministic(capsys):
     argv = [
         "simulate", "--case", "b", "--no-noise", "--steps", "4",
@@ -126,13 +153,15 @@ def test_simulate_dumps(tmp_path, capsys):
     assert len(nlines) == 1 + 3 * 4
 
 
-def test_simulate_dump_noise_requires_noise(capsys):
+def test_simulate_dump_noise_requires_noise(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
     rc = main([
         "simulate", "--no-noise", "--steps", "2", "--mesh", "8",
-        "--dump-noise", "x.csv",
+        "--dump-trajectory", str(traj), "--dump-noise", str(tmp_path / "x.csv"),
     ])
     assert rc == 2
     assert "dump-noise" in capsys.readouterr().err
+    assert not traj.exists()
 
 
 def test_study_matches_library_run(tmp_path, capsys):
@@ -154,7 +183,7 @@ def test_study_matches_library_run(tmp_path, capsys):
         decay_exponent=1.0, t_final=0.02, resolutions=(4, 8), reference=16,
         samples=2, mesh_size=16, master_seed=5,
     )
-    direct = run_temporal_study(plan)
+    direct = run_study(plan)
     assert table.errors == direct.errors
     assert table.fitted_rate == direct.fitted_rate
 

@@ -10,13 +10,14 @@ from fracch.fem1d import (
     cosine_projection_basis,
     l2_norm,
     l2_project_cosine,
-    nonlinear_load,
 )
 from oracles import (
     cosine_load_adaptive,
+    dense,
     h1_seminorm,
     load_vector_quadrature,
     nonlinear_jacobian,
+    nonlinear_load,
     project_mean_zero,
 )
 
@@ -46,13 +47,13 @@ def test_mass_partition_of_unity():
         ones = np.ones(m + 1)
         assert abs(ones @ mass.matvec(ones) - 1.0) <= 1e-13
         # interior row sums equal h
-        rows = mass.toarray().sum(axis=1)
+        rows = dense(mass).sum(axis=1)
         assert np.allclose(rows[1:-1], 1.0 / m, atol=1e-15)
 
 
 def test_mass_positive_definite():
     mass = assemble_mass(UniformMesh1D(16))
-    evals = np.linalg.eigvalsh(mass.toarray())
+    evals = np.linalg.eigvalsh(dense(mass))
     assert evals.min() > 0.0
 
 
@@ -226,7 +227,7 @@ def test_assembly_matches_dense_oracle():
     from oracles import dense_mass, dense_stiffness
 
     mesh = UniformMesh1D(13)
-    assert np.allclose(assemble_mass(mesh).toarray(), dense_mass(mesh), atol=1e-15)
+    assert np.allclose(dense(assemble_mass(mesh)), dense_mass(mesh), atol=1e-15)
     assert np.allclose(
-        assemble_stiffness(mesh).toarray(), dense_stiffness(mesh), atol=1e-12
+        dense(assemble_stiffness(mesh)), dense_stiffness(mesh), atol=1e-12
     )

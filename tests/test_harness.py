@@ -11,16 +11,13 @@ from fracch.harness import (
     ErrorTable,
     ExperimentPlan,
     effective_regularity,
-    emit_table,
     ensure_valid,
     fit_rate,
     linear_oracle_table,
     nominal_regularity,
     pairwise_rates,
     plan_from_json,
-    run_spatial_study,
     run_study,
-    run_temporal_study,
     table_text,
     theoretical_rate,
     validate_config,
@@ -117,11 +114,6 @@ def test_validate_config_structure_errors():
     msgs = [d.message for d in validate_config(nested) if d.level == "error"]
     assert any("not nested" in m for m in msgs)
 
-    with pytest.raises(ConfigError):
-        run_temporal_study(ExperimentPlan(study="spatial"))
-    with pytest.raises(ConfigError):
-        run_spatial_study(ExperimentPlan(study="temporal"))
-
 
 def test_plan_from_json_aliases():
     plan = plan_from_json({"m": 1.0, "seed": 7, "T": 0.5, "case": "b"})
@@ -137,7 +129,6 @@ def test_plan_from_json_aliases():
 
     plan3 = plan_from_json(io.StringIO(text))
     assert plan3 == plan2
-    assert plan_from_json(plan2) is plan2
 
     for bad in [
         {"tau": 0.1},
@@ -208,16 +199,15 @@ def test_emit_read_round_trip(tmp_path):
         theoretical_rate=0.61,
         samples=100,
     )
-    buf = io.StringIO()
-    emit_table(table, buf)
-    lines = buf.getvalue().strip().split("\n")
+    text = table_text(table)
+    lines = text.strip().split("\n")
     assert lines[0] == "resolution,error,pairwise_rate"
     assert len(lines) == 1 + 3 + 2
     assert lines[1].endswith(",")  # no pairwise slot on the first row
     assert lines[-2].startswith("fitted_rate,")
     assert lines[-1].startswith("theoretical_rate,")
 
-    back = read_table(io.StringIO(buf.getvalue()))
+    back = read_table(io.StringIO(text))
     assert back.resolutions == table.resolutions
     assert back.errors == table.errors
     assert back.pairwise_rates == table.pairwise_rates
@@ -225,13 +215,13 @@ def test_emit_read_round_trip(tmp_path):
     assert back.theoretical_rate == table.theoretical_rate
 
     dest = tmp_path / "row.csv"
-    emit_table(table, dest)
+    dest.write_text(text)
     assert read_table(dest).errors == table.errors
 
     empty = ErrorTable(resolutions=(), errors=(), pairwise_rates=(),
                        fitted_rate=float("nan"), theoretical_rate=0.5)
     with pytest.raises(ValueError):
-        emit_table(empty, io.StringIO())
+        table_text(empty)
     with pytest.raises(ValueError):
         read_table(io.StringIO("x,y\n1,2\n"))
 
@@ -256,7 +246,7 @@ def tiny_temporal_plan(**overrides):
 
 def test_reference_consistency_zero_error():
     plan = tiny_temporal_plan(resolutions=(16,), samples=1)
-    table = run_temporal_study(plan)
+    table = run_study(plan)
     assert table.errors == (0.0,)
     assert math.isnan(table.fitted_rate)
     assert table.pairwise_rates == ()
@@ -301,11 +291,11 @@ def tiny_spatial_plan(**overrides):
 
 def test_tiny_spatial_study():
     plan = tiny_spatial_plan()
-    table = run_spatial_study(plan)
+    table = run_study(plan)
     assert table.samples == 2
     assert len(table.errors) == 2
     assert all(e > 0.0 for e in table.errors)
-    again = run_spatial_study(plan)
+    again = run_study(plan)
     assert table.errors == again.errors
     assert table.theoretical_rate == theoretical_rate(0.5, 0.5, 2.5).spatial
 

@@ -10,7 +10,7 @@ from fracch.noise import (
     NoiseSpec,
     ProjectedNoiseTrack,
     coarsen,
-    dump_increments,
+    increments_csv,
     integrated_noise,
     mode_variances,
     path_stream,
@@ -255,21 +255,18 @@ def test_projected_variance_matches_theory():
     assert np.max(np.abs(samples.mean(axis=0)) / np.sqrt(exact / num)) <= 5.0
 
 
-def test_dump_round_trip(tmp_path):
+def test_dump_round_trip():
     spec = NoiseSpec(2.0, 2, 1.0, 3)
     path = sample_path(spec, 8)
-    buf = io.StringIO()
-    dump_increments(path, buf)
-    lines = buf.getvalue().strip().split("\n")
+    text = increments_csv(path)
+    lines = text.strip().split("\n")
     assert lines[0] == "j,k,increment"
     assert len(lines) == 1 + 2 * 3
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "1"
     assert float(first[2]) == path.increments[0, 0]
 
-    dest = tmp_path / "inc.csv"
-    dump_increments(path, dest)
-    data = np.loadtxt(dest, delimiter=",", skiprows=1)
+    data = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
     rebuilt = np.zeros((2, 3))
     for j, k, v in data:
         rebuilt[int(j) - 1, int(k) - 1] = v
