@@ -2,9 +2,10 @@
 
 Everything works on the full nodal space of the Neumann problem: both
 boundary nodes carry degrees of freedom and no basis function is
-eliminated.  Mean-zero constraints are imposed algebraically by the
-callers (projection, or a scalar Lagrange multiplier in the stepper),
-which keeps every matrix here symmetric tridiagonal.
+eliminated.  No mean-zero constraint is built in either: the stepper
+needs none, because testing against constants conserves the mean, and
+the projected noise is mean-zero because the cosines are.  So every
+matrix here is symmetric tridiagonal.
 
 The nonlinearity used throughout is the double-well derivative
 ``phi(u) = u**3 - u``; its load vector and Jacobian are integrated with a

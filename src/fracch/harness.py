@@ -299,7 +299,7 @@ def validate_config(plan: ExperimentPlan) -> list:
 
     if not any(d.level == "error" for d in out):
         beta = effective_regularity(plan.decay_exponent)
-        summary = theoretical_rate(plan.alpha, plan.gamma, min(max(beta, 1.0), 3.0))
+        summary = theoretical_rate(plan.alpha, plan.gamma, beta)
         if summary.eta <= 0.0:
             out.append(
                 Diagnostic(
@@ -488,6 +488,9 @@ def linear_oracle_table(
     resolutions = tuple(int(n) for n in resolutions)
     if min(resolutions, default=0) < 1:
         raise ValueError(f"resolutions must be step counts >= 1, got {resolutions}")
+    if num_modes < 2:
+        # mode 1 carries the cosine initial datum the stepper starts from
+        raise ValueError(f"num_modes must be >= 2, got {num_modes}")
     mesh = UniformMesh1D(mesh_size)
     state = SpectralState(alpha=alpha, epsilon=epsilon, modes=case_b_modes(num_modes))
     exact_nodes = synthesize_modes(

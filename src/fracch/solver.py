@@ -1,17 +1,16 @@
 """Implicit time stepper for the mixed two-field formulation.
 
-Each step solves the coupled nonlinear system for (U^n, W^n, theta):
+Each step solves the coupled nonlinear system for (U^n, W^n):
 
     tau^{-alpha} M U^n + S W^n = M (tau^{-alpha} U^0 - H^n + b^n)
-    M W^n - eps^2 S U^n - F(U^n) + theta M e = 0
-    (W^n, 1) = 0
+    M W^n - eps^2 S U^n - F(U^n) = 0
 
 where H^n is the lagged part of the backward-difference convolution
-quadrature, b^n the fractionally integrated noise term, F the load
-vector of phi(u) = u^3 - u and theta a scalar Lagrange multiplier
-(equal to (phi(u_h), 1) at the solution).  Testing the first equation
-against all hat functions including constants enforces conservation of
-(U^n, 1) automatically.
+quadrature, b^n the fractionally integrated noise term and F the load
+vector of phi(u) = u^3 - u, so W^n is the discrete chemical potential.
+Testing the first equation against all hat functions including
+constants, with S 1 = 0, enforces conservation of (U^n, 1)
+automatically.
 
 The known right-hand side is assembled in blocks of BLOCK steps.  At the
 start of a block the part of H^n over the states already computed (the
@@ -21,12 +20,11 @@ with a slice of the lower-triangular Toeplitz matrix of the weights
 (the near part).  The sums are exact; only the order of the floating
 point additions differs from a step-by-step GEMV.
 
-Newton uses the exact Jacobian.  With nodes interleaved as
-(U_0, W_0, U_1, W_1, ...) the Jacobian without the border is banded
-with three sub- and three superdiagonals, so each iteration is one
-LAPACK ``gbsv`` call with two right-hand sides plus a rank-one Schur
-complement for the multiplier.  The cubic terms of an iterate come from
-one evaluation of u at the Gauss points, shared by its residual and the
+Newton uses the exact Jacobian.  With the unknowns interleaved as
+z = (U_0, W_0, U_1, W_1, ...) the Jacobian is banded with three sub- and
+three superdiagonals, so each iteration is one LAPACK ``gbsv`` call with
+one right-hand side.  The cubic terms of an iterate come from one
+evaluation of u at the Gauss points, shared by its residual and the
 Jacobian of the next iteration.
 """
 
@@ -160,9 +158,6 @@ class _Workspace:
         ab[5, 2::2] = -eps2 * so
         ab[9, 0 : 2 * (n - 1) : 2] = -eps2 * so
         self.ab_static = ab
-        border = np.zeros(2 * n)
-        border[1::2] = self.me
-        self.border_col = border
 
 
 def _cubic(config: SchemeConfig, u: np.ndarray) -> tuple:
@@ -175,7 +170,7 @@ def _cubic(config: SchemeConfig, u: np.ndarray) -> tuple:
 
 
 class SolutionHistory:
-    """States U^0..U^n of one run plus the latest (W, theta) pair."""
+    """States U^0..U^n of one run plus the latest W."""
 
     def __init__(self, config: SchemeConfig, u0: np.ndarray):
         u0 = np.asarray(u0, dtype=float)
@@ -191,11 +186,7 @@ class SolutionHistory:
         self.size = 1
         ws = self.workspace
         _, f0 = _cubic(config, u0)
-        theta0 = float(np.sum(f0))  # (phi(u0), 1); hat loads sum to the integral
-        self.w = ws.mass.solve(
-            config.epsilon**2 * ws.stiff.matvec(u0) + f0 - theta0 * ws.me
-        )
-        self.theta = theta0
+        self.w = ws.mass.solve(config.epsilon**2 * ws.stiff.matvec(u0) + f0)
         self.reports: list[StepReport] = []
         self.max_mass_drift = 0.0
 
@@ -216,10 +207,9 @@ class SolutionHistory:
         """All stored states as an array of shape (size, nodes)."""
         return self._states[: self.size]
 
-    def _append(self, u, w, theta, report):
+    def _append(self, u, w, report):
         self._states[self.size] = u
         self.w = w
-        self.theta = theta
         self.size += 1
         self.reports.append(report)
         drift = abs(self.workspace.me @ (u - self._states[0]))
@@ -251,10 +241,6 @@ def initial_state(u0_spec, mesh: UniformMesh1D) -> FeFunction:
     return FeFunction(mesh, coeffs)
 
 
-def _residual_norm(res1, res2, res3) -> float:
-    return float(np.sqrt(res1 @ res1 + res2 @ res2 + res3 * res3))
-
-
 def step(hist: SolutionHistory, known) -> tuple:
     """Advance the history by one step; returns (new state, StepReport).
 
@@ -273,18 +259,20 @@ def step(hist: SolutionHistory, known) -> tuple:
     rhs1 = ws.mass.matvec(np.asarray(known, dtype=float))
     scale = 1.0 + float(np.linalg.norm(rhs1))
 
-    def evaluate(u, w, theta):
-        """Residual blocks and the Gauss values of u (None without phi)."""
+    def evaluate(z):
+        """Interleaved residual and the Gauss values of u (None without phi)."""
+        u, w = z[0::2], z[1::2]
         ug, load = _cubic(config, u)
-        res1 = ws.tau_na * ws.mass.matvec(u) + ws.stiff.matvec(w) - rhs1
-        res2 = ws.mass.matvec(w) - eps2 * ws.stiff.matvec(u) - load + theta * ws.me
-        return (res1, res2, float(ws.me @ w)), ug
+        res = np.empty_like(z)
+        res[0::2] = ws.tau_na * ws.mass.matvec(u) + ws.stiff.matvec(w) - rhs1
+        res[1::2] = ws.mass.matvec(w) - eps2 * ws.stiff.matvec(u) - load
+        return res, ug
 
-    u = hist.terminal.copy()
-    w = hist.w.copy()
-    theta = hist.theta
-    (res1, res2, res3), ug = evaluate(u, w, theta)
-    norm = _residual_norm(res1, res2, res3)
+    z = np.empty(2 * nodes)
+    z[0::2] = hist.terminal
+    z[1::2] = hist.w
+    res, ug = evaluate(z)
+    norm = float(np.linalg.norm(res))
     trace = [norm]
 
     for iters in range(1, config.newton_max + 1):
@@ -294,36 +282,24 @@ def step(hist: SolutionHistory, known) -> tuple:
             ab[7, 0::2] -= jac.diag
             ab[5, 2::2] -= jac.offdiag
             ab[9, 0 : 2 * (nodes - 1) : 2] -= jac.offdiag
-        rhs = np.empty((2 * nodes, 2), order="F")
-        rhs[0::2, 0] = -res1
-        rhs[1::2, 0] = -res2
-        rhs[:, 1] = ws.border_col
-        _, _, sol, info = _gbsv(
-            _BANDS, _BANDS, ab, rhs, overwrite_ab=True, overwrite_b=True
+        _, _, dz, info = _gbsv(
+            _BANDS, _BANDS, ab, -res, overwrite_ab=True, overwrite_b=True
         )
         if info > 0:
             raise NewtonDivergence(n, trace, "singular Newton matrix")
         if info < 0:
             raise ValueError(f"gbsv rejected argument {-info}")
-        y1, y2 = sol[:, 0], sol[:, 1]
-        denom = float(ws.me @ y2[1::2])
-        dtheta = (float(ws.me @ y1[1::2]) + res3) / denom
-        dz = y1 - dtheta * y2
-        du, dw = dz[0::2], dz[1::2]
 
-        for halve in (False, True):
-            if halve:
-                # single halving, then accept whatever comes out
-                du, dw, dtheta = 0.5 * du, 0.5 * dw, 0.5 * dtheta
-            u_new, w_new, theta_new = u + du, w + dw, theta + dtheta
-            (r1, r2, r3), ug_new = evaluate(u_new, w_new, theta_new)
-            new_norm = _residual_norm(r1, r2, r3)
+        # full step, then a single halving, then accept whatever comes out
+        for fraction in (1.0, 0.5):
+            z_new = z + fraction * dz
+            res, ug_new = evaluate(z_new)
+            new_norm = float(np.linalg.norm(res))
             if not np.isfinite(new_norm):
                 raise NewtonDivergence(n, trace + [new_norm])
             if new_norm <= norm:
                 break
-        u, w, theta, ug = u_new, w_new, theta_new, ug_new
-        res1, res2, res3 = r1, r2, r3
+        z, ug = z_new, ug_new
         norm = new_norm
         trace.append(norm)
         if norm <= config.newton_tol * scale:
@@ -337,7 +313,8 @@ def step(hist: SolutionHistory, known) -> tuple:
         final_residual=norm / scale,
         residual_trace=tuple(trace),
     )
-    hist._append(u, w, theta, report)
+    u = z[0::2]
+    hist._append(u, z[1::2], report)
     return u, report
 
 

@@ -34,8 +34,15 @@ from fracch.harness import ErrorTable, theoretical_rate
 
 
 def binomial_weights(order: float, n_max: int) -> np.ndarray:
-    """a_j = (-1)^j * binom(order, j) straight from the definition."""
+    """a_j = (-1)^j * binom(order, j) straight from the definition.
+
+    An order below -1/2 takes the equal form binom(j - order - 1, j), away
+    from the pole of scipy's binom at order -1: it is nan there and keeps
+    no correct digit for j >= 20 near it.
+    """
     j = np.arange(n_max + 1)
+    if order < -0.5:
+        return binom(j - order - 1.0, j)
     return (-1.0) ** j * binom(order, j)
 
 

@@ -98,6 +98,8 @@ def test_validate_bad_types_are_one_error_line(tmp_path, doc):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--steps", "0", "--mesh", "8"],
     ["oracle", "--alpha", "0.5", "--resolutions", "0,4", "--mesh", "8"],
+    ["oracle", "--alpha", "0.5", "--mesh", "8", "--resolutions", "4,8", "--modes", "0"],
+    ["oracle", "--alpha", "0.5", "--mesh", "8", "--resolutions", "4,8", "--modes", "-3"],
 ])
 def test_bad_arguments_are_one_error_line(argv):
     proc = subprocess.run(

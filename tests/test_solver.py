@@ -38,6 +38,7 @@ from oracles import (
     history_mass,
     history_rhs,
     max_laplacian_norm,
+    nonlinear_load,
     resolvent_kernels,
 )
 
@@ -247,6 +248,22 @@ def test_mass_conservation_with_noise():
     assert hist.max_mass_drift <= budget
     assert max_laplacian_norm(hist) > 0.0
     assert np.isfinite(max_laplacian_norm(hist))
+
+
+def test_w_is_the_discrete_chemical_potential():
+    # W carries no mean constraint: M W = eps^2 S U + F(U) at the terminal U
+    mesh = UniformMesh1D(32)
+    tau = 0.01
+    config = SchemeConfig(mesh=mesh, alpha=0.7, gamma=0.4, epsilon=0.1,
+                          tau=tau, num_steps=10)
+    hist = run_path(config, "b", make_track(mesh, tau, 10, 23))
+    u = hist.terminal
+    res = (assemble_mass(mesh).matvec(hist.w)
+           - config.epsilon**2 * assemble_stiffness(mesh).matvec(u)
+           - nonlinear_load(FeFunction(mesh, u)))
+    last = hist.reports[-1]
+    scale = last.residual_trace[-1] / last.final_residual  # Newton's 1 + |rhs|
+    assert np.linalg.norm(res) <= config.newton_tol * scale
 
 
 def test_classical_limit_matches_independent_stepper():

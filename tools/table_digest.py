@@ -14,7 +14,10 @@ must not move any number leaves them byte-identical.  The document holds
 * a SHA-256 digest of the states and Newton residual traces of one path
   (mesh 8, tau 1e-3, alpha 0.3, gamma 0, eps 0.5, 131 steps, noise seed
   41, case "b") on which the line search halves the Newton step, which
-  none of the workloads does.
+  none of the workloads does, with that path's total and largest
+  per-step Newton iteration counts.  A change that must move the residual
+  traces (and so the digest) can still show that the Newton work did
+  not change.
 
 The fracch sources come from ``src/`` of the checkout the script sits in,
 and BLAS is pinned to one thread so that its sums keep one order.
@@ -58,7 +61,7 @@ def study_text(doc: dict) -> str:
     return harness.table_text(harness.run_study(harness.plan_from_json(doc)))
 
 
-def halving_path_digest() -> str:
+def halving_path_digest() -> dict:
     mesh = UniformMesh1D(8)
     tau, steps = 1e-3, 131
     spec = NoiseSpec(2.0, 15, tau * steps, steps)
@@ -69,7 +72,12 @@ def halving_path_digest() -> str:
     digest = hashlib.sha256(np.ascontiguousarray(hist.states_array()).tobytes())
     for report in hist.reports:
         digest.update(np.array(report.residual_trace).tobytes())
-    return digest.hexdigest()
+    iters = [report.newton_iters for report in hist.reports]
+    return {
+        "halving_path_sha256": digest.hexdigest(),
+        "halving_path_newton_iters": sum(iters),
+        "halving_path_max_newton_iters": max(iters),
+    }
 
 
 def main() -> None:
@@ -81,7 +89,7 @@ def main() -> None:
         for workers in (1, 2):
             out[f"small/{name}/workers={workers}"] = study_text(dict(doc, workers=workers))
     out["linear_oracle"] = harness.table_text(harness.linear_oracle_table(alpha=0.5))
-    out["halving_path_sha256"] = halving_path_digest()
+    out.update(halving_path_digest())
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
 
