@@ -35,6 +35,7 @@ from functools import partial
 
 import numpy as np
 
+from fracch.blas import one_blas_thread
 from fracch.fem1d import FeFunction, UniformMesh1D, l2_norm
 from fracch.mlf import SpectralState, case_b_modes, spectral_linear_solution, synthesize_modes
 from fracch.noise import (
@@ -354,6 +355,7 @@ def pairwise_rates(resolutions, errors) -> tuple:
     return tuple(out)
 
 
+@one_blas_thread()
 def _sample(plan: ExperimentPlan, index: int):
     """Terminal errors of one sample at each resolution against its own
     reference solve, or None if the path failed under policy "drop".
@@ -361,7 +363,8 @@ def _sample(plan: ExperimentPlan, index: int):
     The path is drawn once on the fine grid of the study: the reference
     step count on the temporal axis, the fixed step count on the spatial
     axis.  Temporal resolutions coarsen it; spatial ones reuse it on
-    coarser meshes.
+    coarser meshes.  BLAS runs on one thread throughout, in every worker
+    process, so the table does not depend on the thread settings.
     """
     spatial = plan.study == "spatial"
     spec = NoiseSpec(

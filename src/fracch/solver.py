@@ -21,11 +21,19 @@ with a slice of the lower-triangular Toeplitz matrix of the weights
 point additions differs from a step-by-step GEMV.
 
 Newton uses the exact Jacobian.  With the unknowns interleaved as
-z = (U_0, W_0, U_1, W_1, ...) the Jacobian is banded with three sub- and
-three superdiagonals, so each iteration is one LAPACK ``gbsv`` call with
-one right-hand side.  The cubic terms of an iterate come from one
-evaluation of u at the Gauss points, shared by its residual and the
-Jacobian of the next iteration.
+z = (U_0, W_0, U_1, W_1, ...) the linear part A of the system is banded
+with three sub- and three superdiagonals.  The workspace assembles A once
+in LAPACK band storage and builds its sparse form from the same rows, so
+the residual (one product A z) and the Jacobian (A minus the cubic terms,
+copied into one preallocated buffer) share one definition of A.  Each
+iteration is one LAPACK ``gbsv`` call with one right-hand side.
+
+Each evaluation of an iterate -- A z, the cubic load and u's values at
+the Gauss points, shared by its residual and the Jacobian of the next
+iteration -- is done once.  The history keeps the evaluation of the last
+accepted iterate, and the next step starts from it: only M times the new
+known right-hand side changes.  So a path evaluates once at its start and
+once per Newton trial (an iteration, or its halving).
 """
 
 from __future__ import annotations
@@ -34,7 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse import dia_array
 
+from fracch.blas import one_blas_thread
 from fracch.fem1d import (
     FeFunction,
     UniformMesh1D,
@@ -158,6 +168,12 @@ class _Workspace:
         ab[5, 2::2] = -eps2 * so
         ab[9, 0 : 2 * (n - 1) : 2] = -eps2 * so
         self.ab_static = ab
+        # the same A for products: band row 3 + k holds diagonal 3 - k
+        self.op = dia_array(
+            (ab[_BANDS:], np.arange(_BANDS, -_BANDS - 1, -1)), shape=(2 * n, 2 * n)
+        ).tocsr()
+        # each Newton matrix is assembled here and factorized in place
+        self.newton_ab = np.empty_like(ab, order="F")
 
 
 def _cubic(config: SchemeConfig, u: np.ndarray) -> tuple:
@@ -169,8 +185,18 @@ def _cubic(config: SchemeConfig, u: np.ndarray) -> tuple:
     return values, cubic_load(values, config.mesh.h)
 
 
+def _evaluate(config: SchemeConfig, ws: _Workspace, z: np.ndarray) -> tuple:
+    """A z minus the cubic load in the W rows, and u's Gauss values (None
+    without phi).  A step's residual is this minus M known in the U rows."""
+    ug, load = _cubic(config, z[0::2])
+    g = ws.op @ z
+    g[1::2] -= load
+    return g, ug
+
+
 class SolutionHistory:
-    """States U^0..U^n of one run plus the latest W."""
+    """States U^0..U^n of one run, plus the latest (U, W) and its
+    evaluation, from which the next step starts."""
 
     def __init__(self, config: SchemeConfig, u0: np.ndarray):
         u0 = np.asarray(u0, dtype=float)
@@ -186,13 +212,21 @@ class SolutionHistory:
         self.size = 1
         ws = self.workspace
         _, f0 = _cubic(config, u0)
-        self.w = ws.mass.solve(config.epsilon**2 * ws.stiff.matvec(u0) + f0)
+        self._z = np.empty(2 * nodes)
+        self._z[0::2] = u0
+        self._z[1::2] = ws.mass.solve(config.epsilon**2 * ws.stiff.matvec(u0) + f0)
+        self._g, self._ug = _evaluate(config, ws, self._z)
         self.reports: list[StepReport] = []
         self.max_mass_drift = 0.0
 
     @property
     def u0(self) -> np.ndarray:
         return self._states[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        """The latest W, the discrete chemical potential."""
+        return self._z[1::2]
 
     def state(self, n: int) -> np.ndarray:
         if not 0 <= n < self.size:
@@ -207,9 +241,11 @@ class SolutionHistory:
         """All stored states as an array of shape (size, nodes)."""
         return self._states[: self.size]
 
-    def _append(self, u, w, report):
+    def _append(self, z, g, ug, report):
+        """Store the accepted z with its :func:`_evaluate` values (g, ug)."""
+        u = z[0::2]
         self._states[self.size] = u
-        self.w = w
+        self._z, self._g, self._ug = z, g, ug
         self.size += 1
         self.reports.append(report)
         drift = abs(self.workspace.me @ (u - self._states[0]))
@@ -252,33 +288,24 @@ def step(hist: SolutionHistory, known) -> tuple:
     if n > config.num_steps:
         raise RuntimeError(f"history already holds all {config.num_steps} steps")
     ws = hist.workspace
-    mesh = config.mesh
-    nodes = mesh.num_nodes
-    eps2 = config.epsilon**2
+    nodes = config.mesh.num_nodes
 
     rhs1 = ws.mass.matvec(np.asarray(known, dtype=float))
     scale = 1.0 + float(np.linalg.norm(rhs1))
+    rhs = np.zeros(2 * nodes)
+    rhs[0::2] = rhs1
 
-    def evaluate(z):
-        """Interleaved residual and the Gauss values of u (None without phi)."""
-        u, w = z[0::2], z[1::2]
-        ug, load = _cubic(config, u)
-        res = np.empty_like(z)
-        res[0::2] = ws.tau_na * ws.mass.matvec(u) + ws.stiff.matvec(w) - rhs1
-        res[1::2] = ws.mass.matvec(w) - eps2 * ws.stiff.matvec(u) - load
-        return res, ug
-
-    z = np.empty(2 * nodes)
-    z[0::2] = hist.terminal
-    z[1::2] = hist.w
-    res, ug = evaluate(z)
+    # the previous step (or the history's set-up) evaluated this iterate
+    z, g, ug = hist._z, hist._g, hist._ug
+    res = g - rhs
     norm = float(np.linalg.norm(res))
     trace = [norm]
 
+    ab = ws.newton_ab
     for iters in range(1, config.newton_max + 1):
-        ab = ws.ab_static.copy(order="F")
+        np.copyto(ab, ws.ab_static)
         if ug is not None:
-            jac = cubic_jacobian(ug, mesh.h)
+            jac = cubic_jacobian(ug, config.mesh.h)
             ab[7, 0::2] -= jac.diag
             ab[5, 2::2] -= jac.offdiag
             ab[9, 0 : 2 * (nodes - 1) : 2] -= jac.offdiag
@@ -290,16 +317,18 @@ def step(hist: SolutionHistory, known) -> tuple:
         if info < 0:
             raise ValueError(f"gbsv rejected argument {-info}")
 
-        # full step, then a single halving, then accept whatever comes out
+        # full step, then a single halving, then accept whatever comes out;
+        # either way the last evaluation is of the accepted iterate
         for fraction in (1.0, 0.5):
             z_new = z + fraction * dz
-            res, ug_new = evaluate(z_new)
+            g, ug = _evaluate(config, ws, z_new)
+            res = g - rhs
             new_norm = float(np.linalg.norm(res))
             if not np.isfinite(new_norm):
                 raise NewtonDivergence(n, trace + [new_norm])
             if new_norm <= norm:
                 break
-        z, ug = z_new, ug_new
+        z = z_new
         norm = new_norm
         trace.append(norm)
         if norm <= config.newton_tol * scale:
@@ -313,11 +342,11 @@ def step(hist: SolutionHistory, known) -> tuple:
         final_residual=norm / scale,
         residual_trace=tuple(trace),
     )
-    u = z[0::2]
-    hist._append(u, z[1::2], report)
-    return u, report
+    hist._append(z, g, ug, report)
+    return z[0::2], report
 
 
+@one_blas_thread()
 def run_path(
     config: SchemeConfig,
     u0_spec,
@@ -332,7 +361,8 @@ def run_path(
 
     Raises NewtonDivergence with the failing step index on
     non-convergence and MassDriftError if mass conservation degrades
-    beyond 1e-10 * (1 + ||U^0||).
+    beyond 1e-10 * (1 + ||U^0||).  BLAS runs on one thread throughout, so
+    the sums keep one order whatever the thread settings.
     """
     u0 = initial_state(u0_spec, config.mesh)
     if track is not None:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -213,3 +214,22 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("j,weight")
+
+
+def test_study_table_ignores_blas_thread_settings():
+    # the far-history and noise GEMMs of this plan sum in another order on
+    # two OpenBLAS threads than on one, unless the study pins one thread
+    argv = [sys.executable, "-m", "fracch.cli", "study", "--study", "temporal",
+            "--case", "b", "--alpha", "0.75", "--gamma", "0.8", "--m", "1",
+            "--epsilon", "0.1", "--t-final", "0.01", "--resolutions", "10,20",
+            "--reference", "640", "--samples", "1", "--seed", "2026", "--mesh", "32"]
+    tables = []
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run(argv, capture_output=True, env=env, check=True)
+        tables.append(proc.stdout)
+    assert tables[0].startswith(b"resolution,error,pairwise_rate\n")
+    assert tables[1] == tables[0]
+    assert tables[2] == tables[0]

@@ -34,6 +34,8 @@ from fracch.solver import (
 )
 from oracles import (
     classic_mixed_be,
+    dense_mass,
+    dense_stiffness,
     frac_integrated_noise,
     history_mass,
     history_rhs,
@@ -165,6 +167,63 @@ def test_blocked_sums_match_brute_force(monkeypatch, num_steps):
                          + frac_integrated_noise(track, gamma, tau, n))
                 bound = 1e-13 * max(1.0, np.max(np.abs(brute)))
                 assert np.max(np.abs(known[n] - brute)) <= bound
+
+
+@pytest.mark.parametrize("include_phi", [True, False])
+def test_each_step_starts_from_the_residual_of_its_state(monkeypatch, include_phi):
+    # step starts from the evaluation carried over from the previous step;
+    # its first residual must be the one built afresh from (U, W) and known
+    # (with phi: the table_digest path, whose line search halves)
+    mesh = UniformMesh1D(8)
+    tau, num_steps = 1e-3, 131
+    config = SchemeConfig(mesh=mesh, alpha=0.3, gamma=0.0, epsilon=0.5, tau=tau,
+                          num_steps=num_steps, include_phi=include_phi)
+    starts = []
+    evaluations = 0
+
+    def spy(hist, known):
+        starts.append((known.copy(), hist.terminal.copy(), hist.w.copy()))
+        return step(hist, known)
+
+    def counting_evaluate(*args):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate(*args)
+
+    evaluate = solver._evaluate
+    monkeypatch.setattr(solver, "step", spy)
+    monkeypatch.setattr(solver, "_evaluate", counting_evaluate)
+    hist = run_path(config, "b", make_track(mesh, tau, num_steps, 41))
+    # one evaluation at the start of the path and one per Newton trial;
+    # the extra trials are halvings, which only the cubic path makes
+    iters = sum(r.newton_iters for r in hist.reports)
+    assert (evaluations > iters + 1) if include_phi else (evaluations == iters + 1)
+    mass, stiff = assemble_mass(mesh), assemble_stiffness(mesh)
+    assert len(starts) == len(hist.reports) == num_steps
+    for (known, u, w), report in zip(starts, hist.reports):
+        load = nonlinear_load(FeFunction(mesh, u)) if include_phi else 0.0
+        res_u = tau**-0.3 * mass.matvec(u) + stiff.matvec(w) - mass.matvec(known)
+        res_w = mass.matvec(w) - 0.25 * stiff.matvec(u) - load
+        oracle = np.hypot(np.linalg.norm(res_u), np.linalg.norm(res_w))
+        assert abs(report.residual_trace[0] - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("num_elements", [2, 3, 8, 64])
+def test_band_operator_applies_both_equations(num_elements):
+    # the sparse operator built from the Newton band, against the dense
+    # blocks of the two equations
+    mesh = UniformMesh1D(num_elements)
+    eps, tau, alpha = 0.1, 1e-3, 0.6
+    config = SchemeConfig(mesh=mesh, alpha=alpha, gamma=0.5, epsilon=eps,
+                          tau=tau, num_steps=1)
+    op = SolutionHistory(config, np.zeros(mesh.num_nodes)).workspace.op
+    mass, stiff = dense_mass(mesh), dense_stiffness(mesh)
+    z = np.random.default_rng(num_elements).standard_normal(2 * mesh.num_nodes)
+    u, w = z[0::2], z[1::2]
+    expected = np.empty_like(z)
+    expected[0::2] = tau**-alpha * mass @ u + stiff @ w
+    expected[1::2] = mass @ w - eps**2 * stiff @ u
+    assert np.max(np.abs(op @ z - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_reruns_are_byte_identical():

@@ -7,7 +7,10 @@ Usage, from the root of a checkout::
 Run it on two commits and compare the outputs with ``cmp``: a change that
 must not move any number leaves them byte-identical.  The document holds
 
-* ``table_text`` of the three ``perfbench`` workload plans at seed 2026;
+* ``table_text`` of the three ``perfbench`` workload plans at seed 2026,
+  each with the total Newton iterations of its study, so a change that
+  must keep the iterates can show that it did even where the last digits
+  of a table move;
 * ``table_text`` of three small plans (temporal, temporal with the
   resolution equal to the reference, spatial) at ``workers`` 1 and 2;
 * ``table_text`` of the linear oracle table;
@@ -35,7 +38,7 @@ from run import WORKLOADS  # noqa: E402  (pins BLAS threads before numpy loads)
 sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
-from fracch import harness  # noqa: E402
+from fracch import harness, solver  # noqa: E402
 from fracch.fem1d import UniformMesh1D  # noqa: E402
 from fracch.noise import NoiseSpec, project_increments, sample_path  # noqa: E402
 from fracch.solver import SchemeConfig, run_path  # noqa: E402
@@ -61,6 +64,25 @@ def study_text(doc: dict) -> str:
     return harness.table_text(harness.run_study(harness.plan_from_json(doc)))
 
 
+def newton_iters_of_study(doc: dict) -> tuple:
+    """The study's table text and the Newton iterations of all its steps;
+    the plan must run in this process (``workers`` 1)."""
+    step = solver.step
+    iters = 0
+
+    def counting_step(hist, known):
+        nonlocal iters
+        u, report = step(hist, known)
+        iters += report.newton_iters
+        return u, report
+
+    solver.step = counting_step
+    try:
+        return study_text(doc), iters
+    finally:
+        solver.step = step
+
+
 def halving_path_digest() -> dict:
     mesh = UniformMesh1D(8)
     tau, steps = 1e-3, 131
@@ -84,7 +106,9 @@ def main() -> None:
     out = {}
     for name in sorted(WORKLOADS):
         doc = dict(WORKLOADS[name]["plan"], policy="drop", workers=1, seed=SEED)
-        out[f"workload/{name}"] = study_text(doc)
+        out[f"workload/{name}"], out[f"workload/{name}/newton_iters"] = (
+            newton_iters_of_study(doc)
+        )
     for name, doc in SMALL_PLANS.items():
         for workers in (1, 2):
             out[f"small/{name}/workers={workers}"] = study_text(dict(doc, workers=workers))
