@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, rgamma
 
 Z_SWITCH = -5.0
@@ -95,6 +94,9 @@ def _eval_series(alpha: float, beta: float, z: float) -> float:
 
 def _eval_tail_integral(alpha: float, beta: float, z: float) -> float:
     """Branch-cut integral for z < 0, 0 < alpha < 1, beta < 1 + alpha."""
+    # not at import: scipy.integrate also loads scipy.optimize
+    from scipy.integrate import quad
+
     x = -z
     sb = np.sin(np.pi * beta)
     sba = np.sin(np.pi * (beta - alpha))

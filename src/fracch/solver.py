@@ -28,16 +28,19 @@ the residual (one product A z) and the Jacobian (A minus the cubic terms,
 copied into one preallocated buffer) share one definition of A.  Each
 iteration is one LAPACK ``gbsv`` call with one right-hand side.
 
-Each evaluation of an iterate -- A z, the cubic load and u's values at
-the Gauss points, shared by its residual and the Jacobian of the next
-iteration -- is done once.  The history keeps the evaluation of the last
-accepted iterate, and the next step starts from it: only M times the new
-known right-hand side changes.  So a path evaluates once at its start and
-once per Newton trial (an iteration, or its halving).
+Each evaluation of an iterate -- A z and the per-element cubic rows of
+``fem1d.cubic_terms``, which give its load and the next iteration's
+Jacobian -- is done once.  The rows are laid out (rows, elements), as the
+kernel lays out the Gauss values, so each row goes into the residual or
+the band with one strided operation over the elements.  The history
+keeps the evaluation of the last accepted iterate, and the next step
+starts from it: only M times the new known right-hand side changes.  So
+a path evaluates once at its start and once per Newton trial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +53,7 @@ from fracch.fem1d import (
     UniformMesh1D,
     assemble_mass,
     assemble_stiffness,
-    cubic_jacobian,
-    cubic_load,
-    gauss_values,
+    cubic_terms,
     l2_norm,
     l2_project_cosine,
 )
@@ -176,22 +177,17 @@ class _Workspace:
         self.newton_ab = np.empty_like(ab, order="F")
 
 
-def _cubic(config: SchemeConfig, u: np.ndarray) -> tuple:
-    """u's Gauss values and the load of phi(u), or (None, 0.0) when the
-    cubic term is off."""
-    if not config.include_phi:
-        return None, 0.0
-    values = gauss_values(FeFunction(config.mesh, u))
-    return values, cubic_load(values, config.mesh.h)
-
-
-def _evaluate(config: SchemeConfig, ws: _Workspace, z: np.ndarray) -> tuple:
-    """A z minus the cubic load in the W rows, and u's Gauss values (None
-    without phi).  A step's residual is this minus M known in the U rows."""
-    ug, load = _cubic(config, z[0::2])
+def _evaluate(config: SchemeConfig, ws: _Workspace, z: np.ndarray, rows=None) -> tuple:
+    """A z minus the cubic load in the W rows, and u's cubic rows (None
+    without phi; computed unless given).  A step's residual is this minus
+    M known in the U rows."""
     g = ws.op @ z
-    g[1::2] -= load
-    return g, ug
+    if config.include_phi:
+        if rows is None:
+            rows = cubic_terms(z[0::2], config.mesh.h)
+        g[1:-2:2] -= rows[0]
+        g[3::2] -= rows[1]
+    return g, rows
 
 
 class SolutionHistory:
@@ -211,11 +207,13 @@ class SolutionHistory:
         self._states[0] = u0
         self.size = 1
         ws = self.workspace
-        _, f0 = _cubic(config, u0)
+        # one cubic evaluation at u0 gives W^0 and the carried evaluation
+        rows = cubic_terms(u0, config.mesh.h) if config.include_phi else None
+        f0 = 0.0 if rows is None else np.append(rows[0], 0.0) + np.append(0.0, rows[1])
         self._z = np.empty(2 * nodes)
         self._z[0::2] = u0
         self._z[1::2] = ws.mass.solve(config.epsilon**2 * ws.stiff.matvec(u0) + f0)
-        self._g, self._ug = _evaluate(config, ws, self._z)
+        self._g, self._rows = _evaluate(config, ws, self._z, rows)
         self.reports: list[StepReport] = []
         self.max_mass_drift = 0.0
 
@@ -241,11 +239,11 @@ class SolutionHistory:
         """All stored states as an array of shape (size, nodes)."""
         return self._states[: self.size]
 
-    def _append(self, z, g, ug, report):
-        """Store the accepted z with its :func:`_evaluate` values (g, ug)."""
+    def _append(self, z, g, rows, report):
+        """Store the accepted z with its :func:`_evaluate` values (g, rows)."""
         u = z[0::2]
         self._states[self.size] = u
-        self._z, self._g, self._ug = z, g, ug
+        self._z, self._g, self._rows = z, g, rows
         self.size += 1
         self.reports.append(report)
         drift = abs(self.workspace.me @ (u - self._states[0]))
@@ -288,27 +286,30 @@ def step(hist: SolutionHistory, known) -> tuple:
     if n > config.num_steps:
         raise RuntimeError(f"history already holds all {config.num_steps} steps")
     ws = hist.workspace
-    nodes = config.mesh.num_nodes
 
-    rhs1 = ws.mass.matvec(np.asarray(known, dtype=float))
-    scale = 1.0 + float(np.linalg.norm(rhs1))
-    rhs = np.zeros(2 * nodes)
-    rhs[0::2] = rhs1
+    rhs = ws.mass.matvec(np.asarray(known, dtype=float))
+    scale = 1.0 + math.sqrt(rhs @ rhs)
+
+    def residual(g):
+        """g minus M known in the U rows, and its norm."""
+        res = g.copy()
+        res[0::2] -= rhs
+        return res, math.sqrt(res @ res)
 
     # the previous step (or the history's set-up) evaluated this iterate
-    z, g, ug = hist._z, hist._g, hist._ug
-    res = g - rhs
-    norm = float(np.linalg.norm(res))
+    z, g, rows = hist._z, hist._g, hist._rows
+    res, norm = residual(g)
     trace = [norm]
 
     ab = ws.newton_ab
     for iters in range(1, config.newton_max + 1):
+        # A minus the cubic Jacobian (W rows, U columns) from the LL, RR, LR rows
         np.copyto(ab, ws.ab_static)
-        if ug is not None:
-            jac = cubic_jacobian(ug, config.mesh.h)
-            ab[7, 0::2] -= jac.diag
-            ab[5, 2::2] -= jac.offdiag
-            ab[9, 0 : 2 * (nodes - 1) : 2] -= jac.offdiag
+        if rows is not None:
+            ab[7, 0:-2:2] -= rows[2]
+            ab[7, 2::2] -= rows[3]
+            ab[5, 2::2] -= rows[4]
+            ab[9, 0:-2:2] -= rows[4]
         _, _, dz, info = _gbsv(
             _BANDS, _BANDS, ab, -res, overwrite_ab=True, overwrite_b=True
         )
@@ -321,10 +322,9 @@ def step(hist: SolutionHistory, known) -> tuple:
         # either way the last evaluation is of the accepted iterate
         for fraction in (1.0, 0.5):
             z_new = z + fraction * dz
-            g, ug = _evaluate(config, ws, z_new)
-            res = g - rhs
-            new_norm = float(np.linalg.norm(res))
-            if not np.isfinite(new_norm):
+            g, rows = _evaluate(config, ws, z_new)
+            res, new_norm = residual(g)
+            if not math.isfinite(new_norm):
                 raise NewtonDivergence(n, trace + [new_norm])
             if new_norm <= norm:
                 break
@@ -342,7 +342,7 @@ def step(hist: SolutionHistory, known) -> tuple:
         final_residual=norm / scale,
         residual_trace=tuple(trace),
     )
-    hist._append(z, g, ug, report)
+    hist._append(z, g, rows, report)
     return z[0::2], report
 
 
@@ -389,7 +389,8 @@ def run_path(
             known += integrated_noise(track, gamma_weights, first, rows)
         for i in range(rows):
             # near part: the states U^first..U^{n-1} of this block
-            near = a[i:0:-1] @ (hist.states_array()[first:] - start)
+            weights = a[i:0:-1]
+            near = weights @ hist.states_array()[first:] - weights.sum() * start
             step(hist, known[i] - ws.tau_na * near)
             if hist.max_mass_drift > mass_tol:
                 raise MassDriftError(

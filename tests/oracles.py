@@ -19,14 +19,12 @@ from scipy.integrate import quad
 from scipy.special import binom, rgamma
 
 from fracch.fem1d import (
+    GAUSS3,
     FeFunction,
     SymTridiagonal,
     UniformMesh1D,
     assemble_mass,
     assemble_stiffness,
-    cubic_jacobian,
-    cubic_load,
-    gauss_values,
     l2_norm,
 )
 from fracch.fracops import CqWeights, cq_weights
@@ -424,14 +422,37 @@ def dense(matrix: SymTridiagonal) -> np.ndarray:
     )
 
 
+# the hat shape functions at the Gauss points of GAUSS3, folded with its
+# weights; fem1d.cubic_terms folds the same products into one matrix
+_P, _W = GAUSS3.points, GAUSS3.weights
+_Q = 1.0 - _P
+_LOAD_L, _LOAD_R = _W * _Q, _W * _P
+_JAC_LL, _JAC_RR, _JAC_LR = _W * _Q**2, _W * _P**2, _W * _P * _Q
+
+
+def gauss_values(u: FeFunction) -> np.ndarray:
+    """Values of u at the Gauss points of GAUSS3, shaped (elements, points)."""
+    c = u.coeffs
+    return c[:-1, None] * _Q + c[1:, None] * _P
+
+
 def nonlinear_load(u: FeFunction) -> np.ndarray:
     """Load vector of phi(u) = u^3 - u against the hat basis."""
-    return cubic_load(gauss_values(u), u.mesh.h)
+    values = gauss_values(u)
+    phi = values * values * values - values
+    out = np.zeros(u.mesh.num_nodes)
+    out[:-1] += u.mesh.h * (phi @ _LOAD_L)
+    out[1:] += u.mesh.h * (phi @ _LOAD_R)
+    return out
 
 
 def nonlinear_jacobian(u: FeFunction) -> SymTridiagonal:
     """Jacobian of :func:`nonlinear_load`: entries int (3u^2-1) chi_i chi_j."""
-    return cubic_jacobian(gauss_values(u), u.mesh.h)
+    psi = 3.0 * gauss_values(u) ** 2 - 1.0
+    diag = np.zeros(u.mesh.num_nodes)
+    diag[:-1] += u.mesh.h * (psi @ _JAC_LL)
+    diag[1:] += u.mesh.h * (psi @ _JAC_RR)
+    return SymTridiagonal(diag, u.mesh.h * (psi @ _JAC_LR))
 
 
 def project_mean_zero(u: FeFunction) -> FeFunction:

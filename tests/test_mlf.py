@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erfcx, gamma as spgamma
 
+import fracch
 from fracch.mlf import (
     SpectralState,
     case_b_modes,
@@ -154,3 +158,25 @@ def test_synthesize_single_mode():
     vals = synthesize_modes(modes, x)
     exact = 2.0 * np.sqrt(2.0) * np.cos(3 * np.pi * x)
     assert np.allclose(vals, exact, atol=1e-14)
+
+
+def test_importing_fracch_does_not_load_scipy_integrate():
+    # quad is imported on first use of the branch-cut integral, so the
+    # set-up of a study (import, plan parsing, validation) skips
+    # scipy.integrate and the scipy.optimize it pulls in
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import fracch\n"
+        "from fracch.harness import ensure_valid, plan_from_json\n"
+        "ensure_valid(plan_from_json(json.dumps({'study': 'spatial', 'case': 'a',"
+        " 'alpha': 0.5, 'gamma': 0.6, 'm': 1.0, 't_final': 0.01,"
+        " 'reference': 640, 'resolutions': [20, 40], 'num_steps': 256,"
+        " 'samples': 2})))\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))\n"
+    )
+    src = str(Path(fracch.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

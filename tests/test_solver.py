@@ -34,12 +34,14 @@ from fracch.solver import (
 )
 from oracles import (
     classic_mixed_be,
+    dense,
     dense_mass,
     dense_stiffness,
     frac_integrated_noise,
     history_mass,
     history_rhs,
     max_laplacian_norm,
+    nonlinear_jacobian,
     nonlinear_load,
     resolvent_kernels,
 )
@@ -224,6 +226,69 @@ def test_band_operator_applies_both_equations(num_elements):
     expected[0::2] = tau**-alpha * mass @ u + stiff @ w
     expected[1::2] = mass @ w - eps**2 * stiff @ u
     assert np.max(np.abs(op @ z - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def band_to_dense(ab):
+    """The square matrix held in the LAPACK gbsv band layout of solver."""
+    cols = ab.shape[1]
+    out = np.zeros((cols, cols))
+    for r in range(cols):
+        for c in range(max(0, r - 3), min(cols, r + 4)):
+            out[r, c] = ab[6 + r - c, c]
+    return out
+
+
+@pytest.mark.parametrize("num_elements", [2, 3, 8, 64])
+def test_newton_band_is_the_operator_minus_the_oracle_jacobian(monkeypatch, num_elements):
+    # the matrix of the first Newton iteration, captured before gbsv
+    # factorizes it in place: A minus the cubic Jacobian at the carried u
+    # in the W rows and U columns
+    mesh = UniformMesh1D(num_elements)
+    config = SchemeConfig(mesh=mesh, alpha=0.6, gamma=0.5, epsilon=0.1,
+                          tau=1e-3, num_steps=1)
+    u = np.random.default_rng(num_elements).uniform(-2.0, 2.0, mesh.num_nodes)
+    hist = SolutionHistory(config, u)
+    captured = []
+
+    def spy(kl, ku, ab, *args, **kwargs):
+        captured.append(band_to_dense(ab))
+        return gbsv(kl, ku, ab, *args, **kwargs)
+
+    gbsv = solver._gbsv
+    monkeypatch.setattr(solver, "_gbsv", spy)
+    step(hist, u)
+    expected = band_to_dense(hist.workspace.ab_static)
+    expected[1::2, 0::2] -= dense(nonlinear_jacobian(FeFunction(mesh, u)))
+    assert np.max(np.abs(captured[0] - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("halves", [True, False])
+def test_one_cubic_evaluation_per_newton_trial(monkeypatch, halves):
+    # a path calls the cubic kernel once at its start and once per Newton
+    # trial, which without halvings is once per iteration (with halvings:
+    # the table_digest path)
+    if halves:
+        mesh, tau, num_steps, seed = UniformMesh1D(8), 1e-3, 131, 41
+        config = SchemeConfig(mesh=mesh, alpha=0.3, gamma=0.0, epsilon=0.5,
+                              tau=tau, num_steps=num_steps)
+    else:
+        mesh, tau, num_steps, seed = UniformMesh1D(32), 0.01, 10, 23
+        config = SchemeConfig(mesh=mesh, alpha=0.7, gamma=0.4, epsilon=0.1,
+                              tau=tau, num_steps=num_steps)
+    calls = {"kernel": 0, "evaluate": 0}
+
+    def counting(name, fun):
+        def counted(*args):
+            calls[name] += 1
+            return fun(*args)
+        return counted
+
+    monkeypatch.setattr(solver, "cubic_terms", counting("kernel", solver.cubic_terms))
+    monkeypatch.setattr(solver, "_evaluate", counting("evaluate", solver._evaluate))
+    hist = run_path(config, "b", make_track(mesh, tau, num_steps, seed))
+    iters = sum(r.newton_iters for r in hist.reports)
+    assert calls["kernel"] == calls["evaluate"]
+    assert (calls["kernel"] > iters + 1) if halves else (calls["kernel"] == iters + 1)
 
 
 def test_reruns_are_byte_identical():
