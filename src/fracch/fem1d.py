@@ -182,12 +182,13 @@ _CUBIC_WEIGHTS[2:, 3:6] = [3.0 * _W * _Q**2, 3.0 * _W * _P**2, 3.0 * _W * _P * _
 _CUBIC_WEIGHTS[2:, 6] = [-_W @ _Q**2, -_W @ _P**2, -_W @ (_P * _Q)]
 
 
-def cubic_terms(u: np.ndarray, h: float) -> np.ndarray:
+def cubic_terms(u: np.ndarray, h) -> np.ndarray:
     """Rows (left load, right load, LL, RR, LR) of phi(u) per element,
     shaped (5, elements): the load vector adds rows 0 and 1 at the nodes
     u[:-1] and u[1:], the Jacobian's diagonal rows 2 and 3, and row 4 is
     its off-diagonal.  u's Gauss values are laid out (points, elements),
-    so each elementwise loop runs over the elements, not three points."""
+    so each elementwise loop runs over the elements, not three points.
+    ``h`` is the element size, or one size per element."""
     v = _P[:, None] * (u[1:] - u[:-1])
     v += u[:-1]
     buf = np.empty((7, v.shape[1]))
@@ -195,6 +196,8 @@ def cubic_terms(u: np.ndarray, h: float) -> np.ndarray:
     np.multiply(buf[3:6], v, out=buf[0:3])
     buf[0:3] -= v
     buf[6] = 1.0
+    if isinstance(h, np.ndarray):
+        return _CUBIC_WEIGHTS @ buf * h
     return (h * _CUBIC_WEIGHTS) @ buf
 
 

@@ -6,9 +6,10 @@ terminal errors in the root-mean-square sense over samples, and fits
 convergence rates.  One driver serves both refinement axes: temporal
 sweeps coarsen one fine increment matrix on a fixed mesh, so every
 resolution sees the same Brownian path; spatial sweeps share the
-mode-space increments across nested meshes at a fixed step.  Terminal
-states are compared after nodal injection into the reference mesh,
-which on the temporal axis is the same mesh and leaves them unchanged.
+mode-space increments across nested meshes at a fixed step, all meshes
+of a sample in one lockstep run.  Terminal states are compared after
+nodal injection into the reference mesh, which on the temporal axis is
+the same mesh and leaves them unchanged.
 
 Theoretical exponents follow the strong error analysis of the scheme:
 for noise regularity beta the spatial order is min(2, beta) - r and the
@@ -45,7 +46,7 @@ from fracch.noise import (
     project_increments,
     sample_path,
 )
-from fracch.solver import NewtonDivergence, PathFailure, SchemeConfig, run_path
+from fracch.solver import PathFailure, SchemeConfig, run_path
 
 
 class ConfigError(ValueError):
@@ -363,49 +364,47 @@ def _sample(plan: ExperimentPlan, index: int):
     The path is drawn once on the fine grid of the study: the reference
     step count on the temporal axis, the fixed step count on the spatial
     axis.  Temporal resolutions coarsen it; spatial ones reuse it on
-    coarser meshes.  BLAS runs on one thread throughout, in every worker
-    process, so the table does not depend on the thread settings.
+    coarser meshes, all in one lockstep run.  BLAS runs on one thread
+    throughout, in every worker process, so the table does not depend on
+    the thread settings.
     """
     spatial = plan.study == "spatial"
-    spec = NoiseSpec(
-        plan.decay_exponent,
-        plan.resolved_modes,
-        plan.t_final,
-        plan.num_steps if spatial else plan.reference,
-    )
+    steps = plan.num_steps if spatial else plan.reference
+    spec = NoiseSpec(plan.decay_exponent, plan.resolved_modes, plan.t_final, steps)
     path = sample_path(spec, path_stream(plan.master_seed, plan.row_key, index))
-
-    def solve(resolution, noise, context):
-        mesh = UniformMesh1D(resolution if spatial else plan.mesh_size)
-        config = SchemeConfig(
-            mesh=mesh,
-            alpha=plan.alpha,
-            gamma=plan.gamma,
-            epsilon=plan.resolved_epsilon,
-            tau=plan.t_final / noise.num_steps,
-            num_steps=noise.num_steps,
-            newton_tol=plan.newton_tol,
-            newton_max=plan.newton_max,
-        )
-        track = project_increments(noise, mesh)
-        try:
-            return mesh, run_path(config, plan.case, track).terminal
-        except NewtonDivergence as exc:
-            raise NewtonDivergence(
-                exc.step_index, exc.residuals, context=f"sample {index}, {context}"
-            ) from exc
-
     axis = "mesh" if spatial else "steps"
+    sizes = [plan.reference, *plan.resolutions]
+    labels = [f"reference {axis} {plan.reference}"] + [f"{axis} {r}" for r in plan.resolutions]
+
+    def solve(first, meshes, noise):
+        """(mesh, terminal state) of lockstep runs, labelled from labels[first]."""
+        configs = [
+            SchemeConfig(
+                mesh=UniformMesh1D(size), alpha=plan.alpha, gamma=plan.gamma,
+                epsilon=plan.resolved_epsilon, tau=plan.t_final / noise.num_steps,
+                num_steps=noise.num_steps, newton_tol=plan.newton_tol,
+                newton_max=plan.newton_max,
+            )
+            for size in meshes
+        ]
+        tracks = [project_increments(noise, c.mesh) for c in configs]
+        try:
+            hist = run_path(configs, plan.case, tracks)
+        except PathFailure as exc:
+            raise exc.in_context(f"sample {index}, {labels[first + exc.mesh]}") from exc
+        return [(c.mesh, u.copy()) for c, u in zip(configs, hist.split(hist.terminal))]
+
     try:
-        mesh_ref, ref = solve(plan.reference, path, f"reference {axis} {plan.reference}")
-        x_ref = mesh_ref.nodes()
-        norms = []
-        for res in plan.resolutions:
-            noise = path if spatial else coarsen(path, plan.reference // res)
-            mesh, term = solve(res, noise, f"{axis} {res}")
-            injected = np.interp(x_ref, mesh.nodes(), term)
-            norms.append(l2_norm(FeFunction(mesh_ref, injected - ref)))
-        return np.array(norms)
+        if spatial:
+            runs = solve(0, sizes, path)
+        else:
+            runs = [
+                solve(k, [plan.mesh_size], coarsen(path, plan.reference // n))[0]
+                for k, n in enumerate(sizes)
+            ]
+        (mesh_ref, ref), *coarse = runs
+        injected = [np.interp(mesh_ref.nodes(), m.nodes(), term) for m, term in coarse]
+        return np.array([l2_norm(FeFunction(mesh_ref, u - ref)) for u in injected])
     except PathFailure:
         if plan.policy == "drop":
             return None

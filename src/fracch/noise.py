@@ -19,6 +19,10 @@ Reproducibility contract (pinned so that study output is byte-stable):
 Coarsening sums pairs first while the factor is even, so that composing
 power-of-two coarsenings is bitwise identical to coarsening once by the
 product.
+
+The projected noise stays in mode space: a track keeps the path's
+increments, not a copy, and the scaled projected cosines, so no nodal
+(steps x nodes) noise array is ever formed (:func:`integrated_noise`).
 """
 
 from __future__ import annotations
@@ -131,47 +135,45 @@ def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
 
 @dataclass(frozen=True)
 class ProjectedNoiseTrack:
-    """Finite element coefficients g^0..g^N of the scaled noise increments.
-
-    g^0 = 0 by convention and g^k = tau^{-1} * sum_j gamma_j^{1/2}
-    dbeta_j^k P_h e_j for k >= 1.  Every g^k is mean-zero because the
-    projected cosines are.
-    """
+    """The scaled noise increments g^k = tau^{-1} sum_j gamma_j^{1/2}
+    dbeta_j^k P_h e_j (k = 1..N; g^0 = 0) of one path on a mesh, in mode
+    space: g^k = ``basis @ increments[:, k-1]``, with the path's (modes, N)
+    increments and the (nodes, modes) projected cosines scaled by
+    gamma_j^{1/2} / tau.  Every g^k is mean-zero, as the cosines are."""
 
     mesh: UniformMesh1D
     tau: float
-    values: np.ndarray
+    increments: np.ndarray
+    basis: np.ndarray
 
     @property
     def num_steps(self) -> int:
-        return self.values.shape[0] - 1
+        return self.increments.shape[1]
 
 
 def project_increments(path: BrownianPath, mesh: UniformMesh1D) -> ProjectedNoiseTrack:
-    """Project the increment rows onto the mesh and scale by 1/tau."""
+    """The path on the mesh: its increments and the scaled projected cosines."""
     basis = cosine_projection_basis(mesh, path.spec.num_modes)  # (nodes, L)
-    weights = np.sqrt(mode_variances(path.spec))
-    g = basis @ (weights[:, None] * path.increments) / path.tau
-    values = np.zeros((path.num_steps + 1, mesh.num_nodes))
-    values[1:] = g.T
-    return ProjectedNoiseTrack(mesh=mesh, tau=path.tau, values=values)
+    scaled = basis * (np.sqrt(mode_variances(path.spec)) / path.tau)
+    return ProjectedNoiseTrack(mesh, path.tau, path.increments, scaled)
 
 
 def integrated_noise(
     track: ProjectedNoiseTrack, weights: CqWeights, first: int, rows: int
 ) -> np.ndarray:
     """Noise terms b^n = tau^gamma sum_{k<=n} a^(-gamma)_{n-k} g^k for
-    n = first..first+rows-1, one row each, from one GEMM.
+    n = first..first+rows-1, one nodal row each: one product of the
+    weights with the increments, then one with the basis.
 
     ``weights`` has order -gamma and length > first + rows - 1.  For
-    gamma = 0 the rows are g^first.. bit for bit.
+    gamma = 0 the rows are g^first..; with an identity basis, bit for bit.
     """
     last = first + rows - 1
     if first < 1 or last > track.num_steps:
         raise ValueError(f"steps {first}..{last} outside 1..{track.num_steps}")
     # rows n, columns k = 1..last of a_{n-k}; g^0 stays out of the sum
-    block = cq_block(weights, first - 1, rows, last)
-    return track.tau ** -weights.order * (block @ track.values[1 : last + 1])
+    modes = cq_block(weights, first - 1, rows, last) @ track.increments[:, :last].T
+    return track.tau ** -weights.order * (modes @ track.basis.T)
 
 
 def increments_csv(path: BrownianPath) -> str:

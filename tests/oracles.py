@@ -29,6 +29,7 @@ from fracch.fem1d import (
 )
 from fracch.fracops import CqWeights, cq_weights
 from fracch.harness import ErrorTable, theoretical_rate
+from fracch.noise import ProjectedNoiseTrack
 
 
 def binomial_weights(order: float, n_max: int) -> np.ndarray:
@@ -78,6 +79,20 @@ def history_rhs(hist, weights: CqWeights, tau: float, n: int) -> np.ndarray:
     return tau**-weights.order * (rev @ (hist.states_array()[:n] - hist.u0))
 
 
+def frames(track) -> np.ndarray:
+    """The nodal noise frames g^0 = 0, g^1..g^N of a track as rows."""
+    out = np.zeros((track.num_steps + 1, track.mesh.num_nodes))
+    out[1:] = track.increments.T @ track.basis.T
+    return out
+
+
+def nodal_track(mesh, tau: float, values) -> ProjectedNoiseTrack:
+    """A track of hand-built nodal frames g^0..g^N (rows; g^0 unread): the
+    frames are its increments and the identity its basis."""
+    values = np.asarray(values, dtype=float)
+    return ProjectedNoiseTrack(mesh, tau, values[1:].T, np.eye(values.shape[1]))
+
+
 def frac_integrated_noise(track, gamma: float, tau: float, n: int, weights=None):
     """Fractionally integrated noise term tau^gamma sum_k a^(-gamma)_{n-k} g^k,
     one GEMV per step; the solver sums it in blocks.
@@ -94,7 +109,7 @@ def frac_integrated_noise(track, gamma: float, tau: float, n: int, weights=None)
     elif weights.order != -gamma or len(weights) < n:
         raise ValueError("weights must have order -gamma and length > n")
     rev = weights.weights[:n][::-1]
-    return tau**gamma * (rev @ track.values[1 : n + 1])
+    return tau**gamma * (rev @ frames(track)[1 : n + 1])
 
 
 # 12-point Gauss-Legendre on [0, 1]: exact to polynomial degree 23,

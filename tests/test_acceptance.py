@@ -28,7 +28,6 @@ from fracch.harness import (
 )
 from fracch.noise import (
     NoiseSpec,
-    ProjectedNoiseTrack,
     path_stream,
     project_increments,
     sample_path,
@@ -37,6 +36,8 @@ from fracch.solver import SchemeConfig, initial_state, run_path
 from oracles import (
     classic_mixed_be,
     dense,
+    frames,
+    nodal_track,
     nonlinear_jacobian,
     nonlinear_load,
     resolvent_kernels,
@@ -91,7 +92,7 @@ def test_criterion_2():
                           tau=tau, num_steps=num_steps, newton_tol=1e-13)
     hist = run_path(config, "b", track)
     u0 = initial_state("b", mesh)
-    ref = classic_mixed_be(mesh, 1.0, tau, num_steps, track.values[1:],
+    ref = classic_mixed_be(mesh, 1.0, tau, num_steps, frames(track)[1:],
                            u0.coeffs, tol=1e-13)
     diff = float(np.max(np.abs(hist.states_array() - ref)))
     assert diff <= 1e-12
@@ -127,7 +128,7 @@ def test_criterion_4():
         s = rng.standard_normal(n_steps)
         values = np.zeros((n_steps + 1, mesh.num_nodes))
         values[1:] = s[:, None] * v
-        track = ProjectedNoiseTrack(mesh=mesh, tau=tau, values=values)
+        track = nodal_track(mesh, tau, values)
         config = SchemeConfig(mesh=mesh, alpha=alpha, gamma=gamma, epsilon=eps,
                               tau=tau, num_steps=n_steps, include_phi=False,
                               newton_tol=1e-12)

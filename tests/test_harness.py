@@ -23,9 +23,8 @@ from fracch.harness import (
     validate_config,
 )
 from fracch import harness
-from fracch.noise import ProjectedNoiseTrack
 from fracch.solver import MassDriftError, NewtonDivergence
-from oracles import error_norm, read_table, strict_temporal_rate
+from oracles import error_norm, frames, nodal_track, read_table, strict_temporal_rate
 
 
 def test_theoretical_rate_pinned_values():
@@ -310,6 +309,7 @@ def test_divergence_policies():
             with pytest.raises(NewtonDivergence) as info:
                 run_study(abort)
             assert "sample 0" in info.value.context
+            assert info.value.context.startswith("sample 0, reference ")
 
             drop = tiny_plan(newton_tol=1e-300, newton_max=1, samples=2,
                              workers=workers, policy="drop")
@@ -328,21 +328,27 @@ def test_mass_drift_policies(monkeypatch):
     def project(path, mesh):
         track = real_project(path, mesh)
         if current["index"] == 1:
-            values = track.values.copy()
+            values = frames(track)
             values[1:] += 1.0
-            track = ProjectedNoiseTrack(mesh=mesh, tau=track.tau, values=values)
+            track = nodal_track(mesh, track.tau, values)
         return track
 
     real_stream, real_project = harness.path_stream, harness.project_increments
     monkeypatch.setattr(harness, "path_stream", stream)
     monkeypatch.setattr(harness, "project_increments", project)
 
-    for tiny_plan in (tiny_temporal_plan, tiny_spatial_plan):
+    for tiny_plan, axis in ((tiny_temporal_plan, "steps"), (tiny_spatial_plan, "mesh")):
         table = run_study(tiny_plan(samples=3, policy="drop"))
         assert table.dropped == (1,)
         assert table.samples == 2
-        with pytest.raises(MassDriftError):
-            run_study(tiny_plan(samples=3))
+        for workers in (1, 2):
+            with pytest.raises(MassDriftError) as info:
+                run_study(tiny_plan(samples=3, workers=workers))
+            # every mesh of sample 1 drifts at step 1: the reference is named
+            # first, also where all meshes run in one lockstep stack
+            assert info.value.context == f"sample 1, reference {axis} 16"
+            assert "at step 1 (sample 1, reference" in str(info.value)
+
 
 
 def test_linear_oracle_table_small():

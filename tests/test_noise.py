@@ -8,7 +8,6 @@ from fracch.fracops import cq_weights
 from fracch.noise import (
     BrownianPath,
     NoiseSpec,
-    ProjectedNoiseTrack,
     coarsen,
     increments_csv,
     integrated_noise,
@@ -18,7 +17,7 @@ from fracch.noise import (
     sample_path,
 )
 from fracch.solver import BLOCK
-from oracles import frac_integrated_noise
+from oracles import frac_integrated_noise, frames, nodal_track
 
 
 def test_spec_validation():
@@ -120,7 +119,7 @@ def test_projection_of_zero_path():
     path = BrownianPath(spec, np.zeros((4, 8)))
     track = project_increments(path, UniformMesh1D(16))
     assert track.num_steps == 8
-    assert np.all(track.values == 0.0)
+    assert np.all(frames(track) == 0.0)
 
 
 def test_projection_single_unit_increment():
@@ -131,9 +130,9 @@ def test_projection_single_unit_increment():
     track = project_increments(BrownianPath(spec, inc), mesh)
     # gamma_1 = 1, so g^1 = P_h e_1 / tau and every other frame vanishes
     expected = l2_project_cosine(mesh, 1).coeffs / 0.25
-    assert np.allclose(track.values[1], expected, rtol=1e-14, atol=0)
-    assert np.all(track.values[0] == 0.0)
-    assert np.all(track.values[2:] == 0.0)
+    assert np.allclose(frames(track)[1], expected, rtol=1e-14, atol=0)
+    assert np.all(frames(track)[0] == 0.0)
+    assert np.all(frames(track)[2:] == 0.0)
 
 
 def test_projection_frames_are_mean_zero():
@@ -143,7 +142,7 @@ def test_projection_frames_are_mean_zero():
     mass = assemble_mass(mesh)
     ones = np.ones(mesh.num_nodes)
     for k in range(1, track.num_steps + 1):
-        g = track.values[k]
+        g = frames(track)[k]
         scale = np.sqrt(g @ mass.matvec(g))
         assert abs(ones @ mass.matvec(g)) <= 1e-12 * scale
 
@@ -154,7 +153,7 @@ def test_frac_integration_gamma_zero_returns_frame():
     track = project_increments(sample_path(spec, 21), mesh)
     for n in (1, 4, 8):
         out = frac_integrated_noise(track, 0.0, track.tau, n)
-        assert np.array_equal(out, track.values[n])
+        assert np.array_equal(out, frames(track)[n])
 
 
 def test_frac_integration_of_constant_track():
@@ -163,7 +162,7 @@ def test_frac_integration_of_constant_track():
     tau = 0.125
     values = np.tile(g, (9, 1))
     values[0] = 0.0
-    track = ProjectedNoiseTrack(mesh=mesh, tau=tau, values=values)
+    track = nodal_track(mesh, tau, values)
     for n in (1, 5, 8):
         out = frac_integrated_noise(track, 1.0, tau, n)
         assert np.allclose(out, n * tau * g, rtol=1e-14, atol=1e-16)
@@ -175,7 +174,7 @@ def test_frac_integration_brute_force():
     for tau in (1.0, 0.3):
         values = rng.standard_normal((7, 5))
         values[0] = 0.0
-        track = ProjectedNoiseTrack(mesh=mesh, tau=tau, values=values)
+        track = nodal_track(mesh, tau, values)
         for gamma in (0.25, 0.6, 1.0):
             a = cq_weights(-gamma, 6).weights
             for n in (1, 3, 6):
@@ -189,7 +188,7 @@ def test_frac_integration_brute_force():
 def test_frac_integration_validation():
     mesh = UniformMesh1D(4)
     values = np.zeros((5, 5))
-    track = ProjectedNoiseTrack(mesh=mesh, tau=0.25, values=values)
+    track = nodal_track(mesh, 0.25, values)
     with pytest.raises(ValueError):
         frac_integrated_noise(track, 0.5, 0.25, 0)
     with pytest.raises(ValueError):
@@ -214,7 +213,7 @@ def test_blocked_noise_matches_brute_force(num_steps):
     tau = 0.01
     values = rng.standard_normal((num_steps + 1, 5))
     values[0] = 0.0
-    track = ProjectedNoiseTrack(mesh=mesh, tau=tau, values=values)
+    track = nodal_track(mesh, tau, values)
     for gamma in (0.0, 0.5, 1.0):
         weights = cq_weights(-gamma, num_steps)
         for first in range(1, num_steps + 1, BLOCK):
@@ -233,6 +232,29 @@ def test_blocked_noise_matches_brute_force(num_steps):
         integrated_noise(track, weights, num_steps, 2)
 
 
+@pytest.mark.parametrize("num_modes", [5, 17])
+def test_mode_space_noise_matches_the_nodal_oracle(num_modes):
+    # the track keeps the increments and the scaled basis; its blocked noise
+    # terms must equal the per-step sums over its nodal frames, for fewer
+    # modes than nodes and for as many
+    mesh = UniformMesh1D(16)
+    num_steps = BLOCK + 9
+    spec = NoiseSpec(1.0, num_modes, 0.01, num_steps)
+    path = sample_path(spec, path_stream(11, 0, num_modes))
+    track = project_increments(path, mesh)
+    assert track.increments is path.increments
+    assert track.basis.shape == (mesh.num_nodes, num_modes)
+    for gamma in (0.0, 0.4, 1.0):
+        weights = cq_weights(-gamma, num_steps)
+        for first in range(1, num_steps + 1, BLOCK):
+            rows = min(BLOCK, num_steps + 1 - first)
+            out = integrated_noise(track, weights, first, rows)
+            for i in range(rows):
+                brute = frac_integrated_noise(track, gamma, track.tau, first + i)
+                bound = 1e-13 * max(1.0, np.max(np.abs(brute)))
+                assert np.max(np.abs(out[i] - brute)) <= bound
+
+
 def test_projected_variance_matches_theory():
     spec = NoiseSpec(2.0, 3, 1.0, 8)
     mesh = UniformMesh1D(16)
@@ -248,7 +270,7 @@ def test_projected_variance_matches_theory():
     samples = np.empty((num, 3))
     for i in range(num):
         track = project_increments(sample_path(spec, path_stream(99, 0, i)), mesh)
-        w_final = track.values[1:].sum(axis=0) * track.tau
+        w_final = frames(track)[1:].sum(axis=0) * track.tau
         samples[i] = basis.T @ mass.matvec(w_final)
     ratios = samples.var(axis=0) / exact
     assert np.all(ratios >= 0.8) and np.all(ratios <= 1.2)

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from fracch.fem1d import (
 from fracch.fracops import cq_weights
 from fracch.noise import (
     NoiseSpec,
-    ProjectedNoiseTrack,
     path_stream,
     project_increments,
     sample_path,
@@ -38,9 +38,11 @@ from oracles import (
     dense_mass,
     dense_stiffness,
     frac_integrated_noise,
+    frames,
     history_mass,
     history_rhs,
     max_laplacian_norm,
+    nodal_track,
     nonlinear_jacobian,
     nonlinear_load,
     resolvent_kernels,
@@ -319,7 +321,7 @@ def test_mean_carrying_noise_breaks_mass_conservation():
     mesh = UniformMesh1D(8)
     values = np.zeros((5, mesh.num_nodes))
     values[1:] = 1.0  # a constant frame: not mean-zero
-    track = ProjectedNoiseTrack(mesh=mesh, tau=0.01, values=values)
+    track = nodal_track(mesh, 0.01, values)
     config = SchemeConfig(mesh=mesh, alpha=0.5, gamma=0.5, epsilon=1.0,
                           tau=0.01, num_steps=4)
     with pytest.raises(MassDriftError, match="mass conservation broke at step 1"):
@@ -400,7 +402,7 @@ def test_classical_limit_matches_independent_stepper():
     hist = run_path(config, "b", track)
     u0 = initial_state("b", mesh)
     ref = classic_mixed_be(mesh, 1.0, tau, num_steps,
-                           track.values[1:], u0.coeffs, tol=1e-13)
+                           frames(track)[1:], u0.coeffs, tol=1e-13)
     assert np.max(np.abs(hist.states_array() - ref)) <= 1e-12
 
 
@@ -424,7 +426,7 @@ def test_single_mode_matches_resolvent_kernel():
     s = rng.standard_normal(n_steps)
     values = np.zeros((n_steps + 1, mesh.num_nodes))
     values[1:] = s[:, None] * v
-    track = ProjectedNoiseTrack(mesh=mesh, tau=tau, values=values)
+    track = nodal_track(mesh, tau, values)
     config = SchemeConfig(mesh=mesh, alpha=alpha, gamma=gamma, epsilon=eps,
                           tau=tau, num_steps=n_steps, include_phi=False,
                           newton_tol=1e-12)
@@ -494,3 +496,96 @@ def test_dump_trajectory_round_trip():
         assert parts[0] == n
         assert parts[1] == n * config.tau
         assert np.array_equal(np.array(parts[2:]), hist.state(n))
+
+
+def halving_configs(sizes):
+    # the table_digest path (mesh 8), on whose steps the line search halves
+    return [
+        SchemeConfig(mesh=UniformMesh1D(size), alpha=0.3, gamma=0.0, epsilon=0.5,
+                     tau=1e-3, num_steps=131)
+        for size in sizes
+    ]
+
+
+def test_lockstep_meshes_match_their_own_runs():
+    # meshes 2, 8 and 16 in one stack: each makes the Newton iterations of
+    # its own run at every step and ends where its own run ends
+    configs = halving_configs((2, 8, 16))
+    spec = NoiseSpec(2.0, 15, 131e-3, 131)
+    path = sample_path(spec, 41)
+    tracks = [project_increments(path, c.mesh) for c in configs]
+    stack = run_path(configs, "b", tracks)
+    assert not hasattr(stack, "config")
+    terminals = stack.split(stack.terminal)
+    for k, (config, track) in enumerate(zip(configs, tracks)):
+        alone = run_path(config, "b", track)
+        mine = stack.reports[k :: len(configs)]
+        assert [r.newton_iters for r in mine] == [r.newton_iters for r in alone.reports]
+        scale = np.max(np.abs(alone.terminal))
+        assert np.max(np.abs(terminals[k] - alone.terminal)) <= 1e-12 * scale
+    iters = [r.newton_iters for r in stack.reports[1::3]]
+    assert sum(iters) == 623 and max(iters) == 6
+
+
+def test_first_stacked_newton_matrix_is_block_diagonal(monkeypatch):
+    sizes = (2, 3, 8)
+    configs = halving_configs(sizes)
+    rng = np.random.default_rng(5)
+    u0 = [rng.uniform(-2.0, 2.0, size + 1) for size in sizes]
+    captured = []
+
+    def spy(kl, ku, ab, *args, **kwargs):
+        captured.append(band_to_dense(ab))
+        return gbsv(kl, ku, ab, *args, **kwargs)
+
+    gbsv = solver._gbsv
+    monkeypatch.setattr(solver, "_gbsv", spy)
+    blocks = []
+    for config, u in zip(configs, u0):
+        step(SolutionHistory(config, u), u)
+        blocks.append(captured[0])
+        captured.clear()
+    stacked = np.concatenate(u0)
+    step(SolutionHistory(configs, stacked), stacked)
+    expected = np.zeros_like(captured[0])
+    start = 0
+    for block in blocks:
+        stop = start + block.shape[0]
+        expected[start:stop, start:stop] = block
+        start = stop
+    # zero outside the blocks; inside, only the kernel's per-element h moves bits
+    assert np.array_equal(captured[0] == 0.0, expected == 0.0)
+    assert np.max(np.abs(captured[0] - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_lockstep_failure_names_the_first_step_then_the_first_mesh():
+    # noise frames with a nonzero mean from a given step on make a mesh's
+    # mass drift at that step: the first failing step is named, and in it
+    # the first failing mesh
+    configs = halving_configs((2, 8, 16))
+
+    def drift_from(*starts):
+        tracks = []
+        for config, start in zip(configs, starts):
+            frames_k = np.zeros((132, config.mesh.num_nodes))
+            frames_k[start:] = 1.0
+            tracks.append(nodal_track(config.mesh, 1e-3, frames_k))
+        return tracks
+
+    for starts, failure in (((132, 3, 2), (2, 2)), ((132, 2, 2), (2, 1)),
+                            ((4, 2, 2), (2, 1)), ((2, 3, 2), (2, 0))):
+        with pytest.raises(MassDriftError) as info:
+            run_path(configs, "b", drift_from(*starts))
+        assert (info.value.step_index, info.value.mesh) == failure
+
+
+def test_lockstep_rejects_configs_that_differ_beyond_the_mesh():
+    base = halving_configs((4,))[0]
+    for change in ({"tau": 2e-3}, {"num_steps": 130}, {"alpha": 0.4},
+                   {"newton_tol": 1e-12}):
+        configs = [base, replace(base, mesh=UniformMesh1D(8), **change)]
+        with pytest.raises(ValueError, match="mesh alone"):
+            run_path(configs, "a")
+    with pytest.raises(ValueError, match="tracks"):
+        run_path([base, replace(base, mesh=UniformMesh1D(8))], "a",
+                 [make_track(base.mesh, 1e-3, 131, 1)])

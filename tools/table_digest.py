@@ -8,9 +8,11 @@ Run it on two commits and compare the outputs with ``cmp``: a change that
 must not move any number leaves them byte-identical.  The document holds
 
 * ``table_text`` of the three ``perfbench`` workload plans at seed 2026,
-  each with the total Newton iterations of its study, so a change that
-  must keep the iterates can show that it did even where the last digits
-  of a table move;
+  each with the total Newton iterations of its study, summed over every
+  mesh, so a change that must keep the iterates can show that it did
+  even where the last digits of a table move, and the number of
+  stacked Newton solves (``lockstep_iters``: one ``gbsv`` call each,
+  fewer than the iterations where meshes run in lockstep);
 * ``table_text`` of three small plans (temporal, temporal with the
   resolution equal to the reference, spatial) at ``workers`` 1 and 2;
 * ``table_text`` of the linear oracle table;
@@ -65,22 +67,26 @@ def study_text(doc: dict) -> str:
 
 
 def newton_iters_of_study(doc: dict) -> tuple:
-    """The study's table text and the Newton iterations of all its steps;
-    the plan must run in this process (``workers`` 1)."""
-    step = solver.step
-    iters = 0
+    """The study's table text, the Newton iterations of all its meshes'
+    steps and its number of stacked Newton solves; the plan must run in
+    this process (``workers`` 1)."""
+    step, gbsv = solver.step, solver._gbsv
+    counts = {"iters": 0, "solves": 0}
 
     def counting_step(hist, known):
-        nonlocal iters
-        u, report = step(hist, known)
-        iters += report.newton_iters
-        return u, report
+        reports = step(hist, known)
+        counts["iters"] += sum(report.newton_iters for report in reports)
+        return reports
 
-    solver.step = counting_step
+    def counting_gbsv(*args, **kwargs):
+        counts["solves"] += 1
+        return gbsv(*args, **kwargs)
+
+    solver.step, solver._gbsv = counting_step, counting_gbsv
     try:
-        return study_text(doc), iters
+        return study_text(doc), counts["iters"], counts["solves"]
     finally:
-        solver.step = step
+        solver.step, solver._gbsv = step, gbsv
 
 
 def halving_path_digest() -> dict:
@@ -106,9 +112,11 @@ def main() -> None:
     out = {}
     for name in sorted(WORKLOADS):
         doc = dict(WORKLOADS[name]["plan"], policy="drop", workers=1, seed=SEED)
-        out[f"workload/{name}"], out[f"workload/{name}/newton_iters"] = (
-            newton_iters_of_study(doc)
-        )
+        (
+            out[f"workload/{name}"],
+            out[f"workload/{name}/newton_iters"],
+            out[f"workload/{name}/lockstep_iters"],
+        ) = newton_iters_of_study(doc)
     for name, doc in SMALL_PLANS.items():
         for workers in (1, 2):
             out[f"small/{name}/workers={workers}"] = study_text(dict(doc, workers=workers))
