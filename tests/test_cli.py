@@ -73,6 +73,12 @@ def test_validate_unknown_config_key(tmp_path, capsys):
     rc = main(["validate", "--config", str(cfg)])
     assert rc == 2
     assert "unknown config field" in capsys.readouterr().err
+    # a file holding a JSON array, not an object
+    cfg.write_text("[20, 40]")
+    assert main(["study", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg} does not hold a JSON object\n"
 
 
 @pytest.mark.parametrize("doc", [

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracch.fracops import cq_weights
+from fracch.fracops import cq_block, cq_weights
 from oracles import (
     binomial_weights,
     frac_apply,
@@ -54,6 +54,12 @@ def test_weights_validation():
     with pytest.raises(ValueError):
         cq_weights(0.5, -1)
     assert len(cq_weights(0.5, 0)) == 1
+    w = cq_weights(0.5, 4)
+    for first, rows, cols in ((-1, 1, 1), (0, 0, 1), (0, 1, 0)):
+        with pytest.raises(ValueError, match="bad block"):
+            cq_block(w, first, rows, cols)
+    with pytest.raises(ValueError, match="too short"):
+        cq_block(w, 3, 3, 1)
 
 
 def test_convolution_identity():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fracch.harness import (
     theoretical_rate,
     validate_config,
 )
-from fracch import harness
+from fracch import cli, harness
 from fracch.solver import MassDriftError, NewtonDivergence
 from oracles import error_norm, frames, nodal_track, read_table, strict_temporal_rate
 
@@ -112,6 +113,17 @@ def test_validate_config_structure_errors():
                             num_steps=4)
     msgs = [d.message for d in validate_config(nested) if d.level == "error"]
     assert any("not nested" in m for m in msgs)
+
+    for plan, text in (
+        (ExperimentPlan(resolutions=(4, 8), reference=16, mesh_size=8, num_modes=0),
+         "num_modes must be >= 1"),
+        (ExperimentPlan(study="spatial", resolutions=(4, 8), reference=16, num_steps=0),
+         "num_steps must be >= 1"),
+        (ExperimentPlan(study="spatial", resolutions=(1, 8), reference=16, num_steps=4),
+         "spatial resolution must be >= 2"),
+    ):
+        msgs = [d.message for d in validate_config(plan) if d.level == "error"]
+        assert any(text in m for m in msgs), msgs
 
 
 def test_plan_from_json_aliases():
@@ -317,7 +329,7 @@ def test_divergence_policies():
                 run_study(drop)
 
 
-def test_mass_drift_policies(monkeypatch):
+def test_mass_drift_policies(monkeypatch, tmp_path, capsys):
     # sample 1 gets noise frames with a nonzero mean, so its mass drifts
     current = {}
 
@@ -341,6 +353,12 @@ def test_mass_drift_policies(monkeypatch):
         table = run_study(tiny_plan(samples=3, policy="drop"))
         assert table.dropped == (1,)
         assert table.samples == 2
+        # the CLI writes the table and names the dropped samples on stderr
+        cfg, out = tmp_path / f"{axis}.json", tmp_path / f"{axis}.csv"
+        cfg.write_text(json.dumps(asdict(tiny_plan(samples=3, policy="drop"))))
+        assert cli.main(["study", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "dropped samples: [1]\n"
+        assert out.read_text() == table_text(table)
         for workers in (1, 2):
             with pytest.raises(MassDriftError) as info:
                 run_study(tiny_plan(samples=3, workers=workers))

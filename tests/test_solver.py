@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import replace
 
@@ -336,6 +337,8 @@ def test_step_guards():
     hist = run_path(config, "a")
     with pytest.raises(RuntimeError):
         step(hist, None)
+    with pytest.raises(ValueError, match="u0 has shape"):
+        SolutionHistory(config, np.zeros(7))
 
 
 def test_newton_reports_and_quadratic_tail():
@@ -468,6 +471,10 @@ def test_run_path_track_validation():
     wrong_tau = make_track(mesh, 0.02, 8, 1)
     with pytest.raises(ValueError):
         run_path(config, "a", wrong_tau)
+    elsewhere = make_track(UniformMesh1D(16), 0.01, 8, 1)
+    with pytest.raises(ValueError, match="track on .* for a run on ") as info:
+        run_path(config, "a", elsewhere)
+    assert "\n" not in str(info.value)
 
 
 def test_state_indexing():
@@ -589,3 +596,41 @@ def test_lockstep_rejects_configs_that_differ_beyond_the_mesh():
     with pytest.raises(ValueError, match="tracks"):
         run_path([base, replace(base, mesh=UniformMesh1D(8))], "a",
                  [make_track(base.mesh, 1e-3, 131, 1)])
+    # meshes 8 and 16 given each other's tracks
+    pair = halving_configs((8, 16))
+    swapped = [make_track(c.mesh, 1e-3, 131, 1) for c in reversed(pair)]
+    with pytest.raises(ValueError, match="track on .* for a run on ") as info:
+        run_path(pair, "a", swapped)
+    assert "\n" not in str(info.value)
+
+
+def test_a_mesh_whose_trial_is_not_finite_fails_after_the_others_converge(monkeypatch):
+    # mesh 1's part of g is NaN at step 1's first trial: mesh 1 fails and
+    # keeps its iterate, meshes 0 and 2 still run to convergence, and then
+    # the step raises mesh 1's failure and stores no state
+    configs = halving_configs((2, 8, 16))
+    path = sample_path(NoiseSpec(2.0, 15, 131e-3, 131), 41)
+    tracks = [project_increments(path, c.mesh) for c in configs]
+    first = run_path(configs, "b", tracks).reports[:3]  # step 1, mesh after mesh
+    evaluate, gbsv, real_step = solver._evaluate, solver._gbsv, solver.step
+    evaluations, solves, hists = [], [], []
+
+    def poisoned(config, ws, z, rows=None):
+        g, rows = evaluate(config, ws, z, rows)
+        evaluations.append(None)
+        if len(evaluations) == 2:  # the history's set-up, then step 1's first trial
+            g[ws.unknowns[1]] = np.nan
+        return g, rows
+
+    monkeypatch.setattr(solver, "_evaluate", poisoned)
+    monkeypatch.setattr(solver, "_gbsv", lambda *a, **k: solves.append(None) or gbsv(*a, **k))
+    monkeypatch.setattr(solver, "step", lambda h, known: hists.append(h) or real_step(h, known))
+    with pytest.raises(NewtonDivergence) as info:
+        run_path(configs, "b", tracks)
+    failure = info.value
+    assert (failure.step_index, failure.mesh) == (1, 1)
+    assert len(failure.residuals) == 2
+    assert failure.residuals[0] == first[1].residual_trace[0]
+    assert not math.isfinite(failure.residuals[1])
+    assert len(solves) == max(first[0].newton_iters, first[2].newton_iters)
+    assert len(hists) == 1 and hists[0].size == 1
