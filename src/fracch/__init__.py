@@ -6,7 +6,7 @@ Submodules
 ----------
 fem1d    piecewise-linear finite elements on a uniform grid
 fracops  convolution quadrature weights and their Toeplitz blocks
-mlf      Mittag-Leffler evaluation and the spectral linear solution
+mlf      Mittag-Leffler evaluation and the exact linear solution
 noise    Q-Wiener increment sampling, coarsening, projection
 solver   the coupled time stepper (Newton on the two-field system)
 harness  convergence studies, rate theory, CSV emission, config checks
@@ -22,7 +22,7 @@ from fracch.harness import (
     theoretical_rate,
     validate_config,
 )
-from fracch.mlf import mittag_leffler, spectral_linear_solution
+from fracch.mlf import mittag_leffler
 from fracch.noise import BrownianPath, NoiseSpec, ProjectedNoiseTrack
 from fracch.solver import (
     MassDriftError,
@@ -60,7 +60,6 @@ __all__ = [
     "plan_from_json",
     "run_path",
     "run_study",
-    "spectral_linear_solution",
     "theoretical_rate",
     "validate_config",
 ]

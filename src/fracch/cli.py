@@ -6,7 +6,7 @@ Subcommands:
 * ``validate`` check a plan without running it
 * ``weights``  print convolution quadrature weights
 * ``oracle``   deterministic linear cross-check against the exact
-  eigenfunction solution
+  Mittag-Leffler solution
 * ``simulate`` run a single path, optionally dumping trajectory and
   noise increments as CSV
 
@@ -123,7 +123,6 @@ def _cmd_oracle(args) -> int:
         mesh_size=args.mesh,
         resolutions=[int(t) for t in args.resolutions.split(",")],
         t_final=args.t_final,
-        num_modes=args.modes,
     )
     _write_text(args.out, harness.table_text(table))
     return 0
@@ -193,7 +192,6 @@ def main(argv=None) -> int:
     p.add_argument("--mesh", type=int, default=256)
     p.add_argument("--resolutions", default="20,40,80,160")
     p.add_argument("--t-final", type=float, default=0.01)
-    p.add_argument("--modes", type=int, default=64)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=_cmd_oracle)
 

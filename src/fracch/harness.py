@@ -38,7 +38,7 @@ import numpy as np
 
 from fracch.blas import one_blas_thread
 from fracch.fem1d import FeFunction, UniformMesh1D, l2_norm
-from fracch.mlf import SpectralState, case_b_modes, spectral_linear_solution, synthesize_modes
+from fracch.mlf import case_b_linear_solution
 from fracch.noise import (
     NoiseSpec,
     coarsen,
@@ -477,11 +477,10 @@ def linear_oracle_table(
     mesh_size: int = 256,
     resolutions=(20, 40, 80, 160),
     t_final: float = 0.01,
-    num_modes: int = 64,
 ) -> ErrorTable:
     """Deterministic cross-check of the stepper against the exact
-    eigenfunction expansion of the linear problem (phi and noise off,
-    cosine initial datum).
+    solution of the linear problem (phi and noise off, case "b" cosine
+    initial datum).
 
     First-order temporal convergence of the terminal error is the
     expected outcome; the spatial projection error is shared by both
@@ -490,14 +489,12 @@ def linear_oracle_table(
     resolutions = tuple(int(n) for n in resolutions)
     if min(resolutions, default=0) < 1:
         raise ValueError(f"resolutions must be step counts >= 1, got {resolutions}")
-    if num_modes < 2:
-        # mode 1 carries the cosine initial datum the stepper starts from
-        raise ValueError(f"num_modes must be >= 2, got {num_modes}")
+    if list(resolutions) != sorted(set(resolutions)):
+        raise ValueError(f"resolutions must be strictly increasing, got {resolutions}")
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ValueError(f"t_final must be positive, got {t_final}")
     mesh = UniformMesh1D(mesh_size)
-    state = SpectralState(alpha=alpha, epsilon=epsilon, modes=case_b_modes(num_modes))
-    exact_nodes = synthesize_modes(
-        spectral_linear_solution(state, t_final), mesh.nodes()
-    )
+    exact_nodes = case_b_linear_solution(alpha, epsilon, t_final, mesh.nodes())
     errs = []
     for n in resolutions:
         config = SchemeConfig(

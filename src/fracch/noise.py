@@ -27,6 +27,7 @@ increments, not a copy, and the scaled projected cosines, so no nodal
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,11 +49,11 @@ class NoiseSpec:
     num_fine_steps: int
 
     def __post_init__(self):
-        if self.decay_exponent < 0.0:
+        if not (math.isfinite(self.decay_exponent) and self.decay_exponent >= 0.0):
             raise ValueError(f"decay_exponent must be >= 0, got {self.decay_exponent}")
         if self.num_modes < 1:
             raise ValueError(f"num_modes must be >= 1, got {self.num_modes}")
-        if self.t_final <= 0.0:
+        if not (math.isfinite(self.t_final) and self.t_final > 0.0):
             raise ValueError(f"t_final must be positive, got {self.t_final}")
         if self.num_fine_steps < 1:
             raise ValueError(f"num_fine_steps must be >= 1, got {self.num_fine_steps}")

@@ -102,13 +102,14 @@ class SchemeConfig:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.epsilon <= 0.0:
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.tau <= 0.0:
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
-        if self.newton_tol <= 0.0 or self.newton_max < 1:
+        tol_ok = math.isfinite(self.newton_tol) and self.newton_tol > 0.0
+        if not tol_ok or self.newton_max < 1:
             raise ValueError("newton_tol must be > 0 and newton_max >= 1")
 
     @property

@@ -29,6 +29,7 @@ from fracch.fem1d import (
 )
 from fracch.fracops import CqWeights, cq_weights
 from fracch.harness import ErrorTable, theoretical_rate
+from fracch.mlf import mittag_leffler
 from fracch.noise import ProjectedNoiseTrack
 
 
@@ -227,6 +228,47 @@ def ml_asymptotic(alpha: float, beta: float, z: float, k_max: int = 60) -> float
         smallest = abs(term)
         total += term
     return total
+
+
+def ml_branch_cut_highprec(alpha: float, beta: float, z: float, dps: int = 30) -> float:
+    """The branch-cut integral of E_{alpha,beta}(z), z < 0, beta < 1 + alpha,
+    by mpmath quadrature at ``dps`` digits.
+
+    Same integrand as the package's, different quadrature and arithmetic.
+    It is cheap where the series would need thousands of digits (small
+    alpha, moderate |z|); the interval is split where the denominator
+    dips (u = x and u = -x cos(pi alpha)) and where exp(-u^(1/alpha))
+    turns over (u = 1).
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        a, b, x = mp.mpf(alpha), mp.mpf(beta), -mp.mpf(z)
+        sb, sba, ca = mp.sinpi(b), mp.sinpi(b - a), mp.cospi(a)
+
+        def f(u):
+            num = u * sb + x * sba
+            den = u * u + 2 * x * u * ca + x * x
+            return mp.exp(-(u ** (1 / a))) * u ** ((1 - b) / a) * num / den
+
+        cuts = sorted({p for p in (x, -x * ca, mp.mpf(1)) if p > 0})
+        return float(mp.quad(f, [0, *cuts, mp.inf]) / (a * mp.pi))
+
+
+def case_b_modal_solution(alpha, epsilon, t, x, num_modes) -> np.ndarray:
+    """The exact linear solution from u0 = 0.05 cos(2 pi x) as a sum over
+    the cosine modes sqrt(2) cos(j pi x), j = 1..num_modes (num_modes >= 2),
+    mode j decaying by E_{alpha,1}(-eps^2 (j pi)^4 t^alpha).
+
+    Only j = 2 carries the datum, so the package's one-mode closed form
+    must give the same bits.
+    """
+    modes = np.zeros(num_modes)
+    modes[1] = 0.05 / np.sqrt(2.0)
+    j = np.arange(1, num_modes + 1)
+    lam = (j * np.pi) ** 2
+    coeffs = modes * mittag_leffler(alpha, 1.0, -(epsilon**2) * lam**2 * t**alpha)
+    return np.sqrt(2.0) * (np.cos(np.outer(np.asarray(x), j) * np.pi) @ coeffs)
 
 
 def classic_mixed_be(mesh, epsilon, tau, num_steps, forcing, u0, tol=1e-13):

@@ -105,8 +105,15 @@ def test_validate_bad_types_are_one_error_line(tmp_path, doc):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--steps", "0", "--mesh", "8"],
     ["oracle", "--alpha", "0.5", "--resolutions", "0,4", "--mesh", "8"],
-    ["oracle", "--alpha", "0.5", "--mesh", "8", "--resolutions", "4,8", "--modes", "0"],
-    ["oracle", "--alpha", "0.5", "--mesh", "8", "--resolutions", "4,8", "--modes", "-3"],
+    ["oracle", "--alpha", "0.5", "--mesh", "8", "--resolutions", "4,4"],
+    ["oracle", "--alpha", "0.5", "--mesh", "8", "--resolutions", "8,4"],
+    ["oracle", "--alpha", "0.5", "--mesh", "8", "--resolutions", "4,8", "--t-final", "-0.01"],
+    ["oracle", "--alpha", "0.5", "--mesh", "8", "--resolutions", "4,8", "--t-final", "nan"],
+    # non-finite numbers that bypass the JSON check of study plans
+    ["simulate", "--steps", "4", "--mesh", "8", "--epsilon", "inf"],
+    ["simulate", "--steps", "4", "--mesh", "8", "--t-final", "inf"],
+    ["simulate", "--steps", "4", "--mesh", "8", "--t-final", "nan"],
+    ["simulate", "--steps", "4", "--mesh", "8", "--m", "nan"],
 ])
 def test_bad_arguments_are_one_error_line(argv):
     proc = subprocess.run(
@@ -201,8 +208,7 @@ def test_oracle_subcommand(tmp_path, capsys):
     dest = tmp_path / "oracle.csv"
     rc = main([
         "oracle", "--alpha", "0.75", "--mesh", "16",
-        "--resolutions", "4,8", "--t-final", "0.02", "--modes", "4",
-        "--out", str(dest),
+        "--resolutions", "4,8", "--t-final", "0.02", "--out", str(dest),
     ])
     assert rc == 0
     capsys.readouterr()

@@ -370,8 +370,7 @@ def test_mass_drift_policies(monkeypatch, tmp_path, capsys):
 
 
 def test_linear_oracle_table_small():
-    table = linear_oracle_table(0.75, mesh_size=32, resolutions=(5, 10, 20),
-                                t_final=0.02, num_modes=8)
+    table = linear_oracle_table(0.75, mesh_size=32, resolutions=(5, 10, 20), t_final=0.02)
     assert table.samples == 1
     assert table.theoretical_rate == 1.0
     assert all(e > 0.0 for e in table.errors)

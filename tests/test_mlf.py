@@ -8,14 +8,14 @@ import pytest
 from scipy.special import erfcx, gamma as spgamma
 
 import fracch
-from fracch.mlf import (
-    SpectralState,
-    case_b_modes,
-    mittag_leffler,
-    spectral_linear_solution,
-    synthesize_modes,
+from fracch.fem1d import UniformMesh1D
+from fracch.mlf import case_b_linear_solution, mittag_leffler
+from oracles import (
+    case_b_modal_solution,
+    ml_asymptotic,
+    ml_branch_cut_highprec,
+    ml_series_highprec,
 )
-from oracles import ml_asymptotic, ml_series_highprec
 
 
 def test_exponential_case():
@@ -121,43 +121,50 @@ def test_array_shape_handling():
     assert isinstance(mittag_leffler(0.5, 1.0, -1.0), float)
 
 
-def test_spectral_t_zero_identity():
-    state = SpectralState(0.5, 1.0, case_b_modes(8))
-    out = spectral_linear_solution(state, 0.0)
-    assert np.array_equal(out, state.modes)
-    with pytest.raises(ValueError):
-        spectral_linear_solution(state, -0.1)
+@pytest.mark.parametrize("num_modes", [2, 8, 64])
+def test_case_b_solution_matches_the_modal_sum_bit_for_bit(num_modes):
+    # the closed form keeps the operation order of the modal sum it
+    # replaced, so the oracle tables keep their bits
+    nodes = [UniformMesh1D(n).nodes() for n in (8, 32, 256)]
+    for alpha in (0.25, 0.3, 0.5, 0.75, 1.0):
+        for eps, t in ((1.0, 0.01), (0.1, 0.02), (0.5, 0.003)):
+            for x in nodes:
+                ours = case_b_linear_solution(alpha, eps, t, x)
+                assert np.array_equal(ours, case_b_modal_solution(alpha, eps, t, x, num_modes))
 
 
-def test_spectral_classical_decay():
-    # alpha = 1: mode j decays like exp(-eps^2 (j pi)^4 t)
-    eps = 0.3
-    modes = np.zeros(3)
-    modes[0] = 1.0
-    state = SpectralState(1.0, eps, modes)
-    t = 0.02
-    out = spectral_linear_solution(state, t)
-    assert abs(out[0] - math.exp(-(eps**2) * np.pi**4 * t)) <= 1e-13
-    assert np.all(out[1:] == 0.0)
-
-
-def test_case_b_modes():
-    modes = case_b_modes(16)
-    assert modes.shape == (16,)
-    assert abs(modes[1] - 0.05 / math.sqrt(2.0)) <= 1e-17
-    assert np.count_nonzero(modes) == 1
-    # synthesized profile is 0.05*cos(2 pi x)
+def test_case_b_solution_classical_decay():
+    # alpha = 1: the mode decays like exp(-eps^2 (2 pi)^4 t)
     x = np.linspace(0.0, 1.0, 101)
-    vals = synthesize_modes(modes, x)
-    assert np.max(np.abs(vals - 0.05 * np.cos(2 * np.pi * x))) <= 1e-15
+    for eps, t in ((0.3, 0.02), (1.0, 0.01), (0.1, 0.0)):
+        exact = 0.05 * math.exp(-(eps**2) * (2 * np.pi) ** 4 * t) * np.cos(2 * np.pi * x)
+        assert np.max(np.abs(case_b_linear_solution(1.0, eps, t, x) - exact)) <= 1e-15
+    for t in (-0.01, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            case_b_linear_solution(0.5, 1.0, t, x)
 
 
-def test_synthesize_single_mode():
-    modes = np.array([0.0, 0.0, 2.0])
-    x = np.array([0.0, 0.25, 0.5])
-    vals = synthesize_modes(modes, x)
-    exact = 2.0 * np.sqrt(2.0) * np.cos(3 * np.pi * x)
-    assert np.allclose(vals, exact, atol=1e-14)
+def test_cancelling_series_range_is_double_precision():
+    # at these z the alternating series peaks far above 1e4 (at about
+    # 1e250 and 1e3500), so the branch-cut integral answers in double
+    # precision: no mpmath, no warning, no hang
+    code = (
+        "import sys, warnings\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "warnings.simplefilter('error')\n"
+        "from fracch.mlf import mittag_leffler\n"
+        "print(repr(mittag_leffler(0.25, 1.0, -4.9)), repr(mittag_leffler(0.1, 1.0, -2.458)))\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    src = str(Path(fracch.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, check=True, timeout=120)
+    values, loaded = proc.stdout.split("\n")[:2]
+    assert loaded == "False"
+    assert proc.stderr == ""
+    first, second = (float(v) for v in values.split())
+    assert abs(first - ml_series_highprec(0.25, 1.0, -4.9)) <= 1e-12
+    assert abs(second - ml_branch_cut_highprec(0.1, 1.0, -2.458)) <= 1e-12
 
 
 def test_importing_fracch_does_not_load_scipy_integrate():

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ def test_spec_validation():
         NoiseSpec(2.0, 4, 0.0, 8)
     with pytest.raises(ValueError):
         NoiseSpec(2.0, 4, 1.0, 0)
+    for decay, t_final in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.inf), (2.0, math.nan)):
+        with pytest.raises(ValueError):
+            NoiseSpec(decay, 4, t_final, 8)
     with pytest.raises(ValueError):
         BrownianPath(NoiseSpec(2.0, 4, 1.0, 8), np.zeros((4, 7)))
 

@@ -65,8 +65,14 @@ def test_config_validation():
         ("gamma", -0.1),
         ("gamma", 1.1),
         ("epsilon", 0.0),
+        ("epsilon", math.inf),
+        ("epsilon", math.nan),
         ("tau", 0.0),
+        ("tau", math.inf),
+        ("tau", math.nan),
         ("num_steps", 0),
+        ("newton_tol", math.nan),
+        ("newton_tol", math.inf),
         ("newton_max", 0),
     ]:
         with pytest.raises(ValueError):

@@ -15,7 +15,11 @@ must not move any number leaves them byte-identical.  The document holds
   fewer than the iterations where meshes run in lockstep);
 * ``table_text`` of three small plans (temporal, temporal with the
   resolution equal to the reference, spatial) at ``workers`` 1 and 2;
-* ``table_text`` of the linear oracle table;
+* ``table_text`` of the linear oracle table at alpha 0.5, and at the
+  ``ORACLE_CASES`` below, whose exact solutions take the three routes
+  of the Mittag-Leffler evaluation (z = -49.3 on the branch-cut
+  integral, z = -0.39 on the series, and z = -4.93, inside the series
+  range but on the integral, because the series would cancel there);
 * a SHA-256 digest of the states and Newton residual traces of one path
   (mesh 8, tau 1e-3, alpha 0.3, gamma 0, eps 0.5, 131 steps, noise seed
   41, case "b") on which the line search halves the Newton step, which
@@ -60,6 +64,9 @@ SMALL_PLANS = {
         "num_steps": 8, "samples": 2, "seed": 9,
     },
 }
+
+# (alpha, epsilon) of the extra linear oracle tables, t_final 0.01
+ORACLE_CASES = ((0.75, 1.0), (0.5, 0.05), (0.25, 0.1))
 
 
 def study_text(doc: dict) -> str:
@@ -121,6 +128,9 @@ def main() -> None:
         for workers in (1, 2):
             out[f"small/{name}/workers={workers}"] = study_text(dict(doc, workers=workers))
     out["linear_oracle"] = harness.table_text(harness.linear_oracle_table(alpha=0.5))
+    for alpha, epsilon in ORACLE_CASES:
+        table = harness.linear_oracle_table(alpha=alpha, epsilon=epsilon)
+        out[f"linear_oracle/alpha={alpha},epsilon={epsilon}"] = harness.table_text(table)
     out.update(halving_path_digest())
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
