@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -131,6 +132,8 @@ def _cmd_oracle(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    if not (math.isfinite(args.t_final) and args.t_final > 0.0):
+        raise ValueError(f"--t-final must be positive, got {args.t_final}")
     if args.dump_noise and args.no_noise:
         raise ValueError("--dump-noise needs noise (drop --no-noise)")
     mesh = UniformMesh1D(args.mesh)

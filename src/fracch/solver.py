@@ -35,10 +35,11 @@ Each evaluation of an iterate -- A z and the per-element cubic rows of
 ``fem1d.cubic_terms``, which give its load and the next iteration's
 Jacobian -- is done once.  The rows are laid out (rows, elements), as the
 kernel lays out the Gauss values, so each row goes into the residual or
-the band with one strided operation over the elements.  The history
-keeps the evaluation of the last accepted iterate, and the next step
-starts from it: only M times the new known right-hand side changes.  So
-a path evaluates once at its start and once per Newton trial.
+the band with one strided operation over the elements.  They scale with
+h, which is 0 wherever phi must not act (everywhere without phi).  The
+history keeps the evaluation of the last accepted iterate, and the next
+step starts from it: only M times the new known right-hand side changes.
+So a path evaluates once at its start and once per Newton trial.
 
 Runs that differ in the mesh alone share the time grid, the weights and
 the noise path, so :func:`run_path` advances them in lockstep, stacked
@@ -47,9 +48,9 @@ mesh: the concatenated band storage is zero wherever it would couple two
 meshes, so ``gbsv`` never pivots across blocks and adds exact zeros to
 the other blocks, and the sparse form, which drops zeros, sums each row's
 own terms in their own order.  The cubic kernel runs once, with one h per
-element (the last bits change), and adds nothing on the pseudo-elements
-joining two meshes.  Norms, the line search and convergence are per mesh
-and a converged mesh takes no further update, so each mesh makes the
+element (the last bits change) and h = 0 on the pseudo-elements joining
+two meshes.  Norms, the line search and convergence are per mesh and a
+converged mesh takes no further update, so each mesh makes the
 iterations of its own solve.
 """
 
@@ -182,11 +183,12 @@ class _Workspace:
         # each mesh's nodes and interleaved unknowns in the stacked vectors
         self.nodes = [slice(a, b) for a, b in zip(self.bounds[:-1], self.bounds[1:])]
         self.unknowns = [slice(2 * s.start, 2 * s.stop) for s in self.nodes]
-        # the pseudo-elements from one mesh's last node to the next one's first
-        self.joins = self.bounds[1:-1] - 1
-        hs = [np.full(m.num_nodes, m.h) for m in meshes]
-        # one mesh keeps a scalar h: its kernel call takes 12.9 us, not 14.7 us
-        self.h = config.mesh.h if len(meshes) == 1 else np.concatenate(hs)[:-1]
+        # h per element, 0 (and so are the cubic rows) on the pseudo-elements
+        # joining two meshes and everywhere without phi.  One mesh keeps a
+        # scalar h: its kernel call takes 12.9 us, not 14.7 us
+        hs = [np.append(np.full(m.num_elements, m.h), 0.0) for m in meshes]
+        h = config.mesh.h if len(meshes) == 1 else np.concatenate(hs)[:-1]
+        self.h = h * config.include_phi
         def stack(assemble):  # one tridiagonal matrix, zero between meshes
             mats = [assemble(m) for m in meshes]
             off = np.concatenate([np.append(m.offdiag, 0.0) for m in mats])[:-1]
@@ -219,25 +221,15 @@ class _Workspace:
         self.newton_ab = np.empty_like(ab, order="F")
 
 
-def _cubic(ws: _Workspace, u: np.ndarray) -> np.ndarray:
-    """u's cubic rows, zero on the pseudo-elements joining two meshes; one
-    mesh has none and skips the assignment (0.05 us against 1.3 us)."""
-    rows = cubic_terms(u, ws.h)
-    if ws.joins.size:
-        rows[:, ws.joins] = 0.0
-    return rows
-
-
-def _evaluate(config: SchemeConfig, ws: _Workspace, z: np.ndarray, rows=None) -> tuple:
-    """A z minus the cubic load in the W rows, and u's cubic rows (None
-    without phi; computed unless given).  A step's residual is this minus
+def _evaluate(ws: _Workspace, z: np.ndarray, rows=None) -> tuple:
+    """A z minus the cubic load in the W rows, and u's cubic rows (computed
+    unless given; zero where ``ws.h`` is).  A step's residual is this minus
     M known in the U rows."""
     g = ws.op @ z
-    if config.include_phi:
-        if rows is None:
-            rows = _cubic(ws, z[0::2])
-        g[1:-2:2] -= rows[0]
-        g[3::2] -= rows[1]
+    if rows is None:
+        rows = cubic_terms(z[0::2], ws.h)
+    g[1:-2:2] -= rows[0]
+    g[3::2] -= rows[1]
     return g, rows
 
 
@@ -260,12 +252,12 @@ class SolutionHistory:
         self._states[0] = u0
         self.size = 1
         # one cubic evaluation at u0 gives W^0 and the carried evaluation
-        rows = _cubic(ws, u0) if first.include_phi else None
-        f0 = 0.0 if rows is None else np.append(rows[0], 0.0) + np.append(0.0, rows[1])
+        rows = cubic_terms(u0, ws.h)
+        f0 = np.append(rows[0], 0.0) + np.append(0.0, rows[1])
         self._z = np.empty(2 * nodes)
         self._z[0::2] = u0
         self._z[1::2] = ws.mass.solve(first.epsilon**2 * ws.stiff.matvec(u0) + f0)
-        self._g, self._rows = _evaluate(first, ws, self._z, rows)
+        self._g, self._rows = _evaluate(ws, self._z, rows)
         self.reports: list[StepReport] = []  # each step's, mesh after mesh
         self.max_mass_drift = 0.0
         self.mass_tol = [math.inf] * len(self.configs)  # run_path sets the bounds
@@ -360,11 +352,10 @@ def step(hist: SolutionHistory, known) -> list:
     for _ in range(config.newton_max):
         # A minus the cubic Jacobian (W rows, U columns) from the LL, RR, LR rows
         np.copyto(ab, ws.ab_static)
-        if rows is not None:
-            ab[7, 0:-2:2] -= rows[2]
-            ab[7, 2::2] -= rows[3]
-            ab[5, 2::2] -= rows[4]
-            ab[9, 0:-2:2] -= rows[4]
+        ab[7, 0:-2:2] -= rows[2]
+        ab[7, 2::2] -= rows[3]
+        ab[5, 2::2] -= rows[4]
+        ab[9, 0:-2:2] -= rows[4]
         _, _, dz, info = _gbsv(_BANDS, _BANDS, ab, res, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             mesh = int(np.searchsorted(ws.bounds, (info - 1) // 2, side="right")) - 1
@@ -380,7 +371,7 @@ def step(hist: SolutionHistory, known) -> list:
         # and keeps its iterate.  The last evaluation is of the accepted z
         z_new, halved, redo = z + dz, [], True
         while redo:
-            g, rows = _evaluate(config, ws, z_new)
+            g, rows = _evaluate(ws, z_new)
             res, new = residual(g)
             redo = False
             for mesh in active[:]:

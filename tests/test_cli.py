@@ -126,6 +126,15 @@ def test_bad_arguments_are_one_error_line(argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("t_final", ["nan", "inf", "0", "-0.01"])
+def test_simulate_names_a_bad_t_final(capsys, t_final):
+    # the one error line names the flag the user typed, not the step size
+    # derived from it
+    assert main(["simulate", "--steps", "4", "--mesh", "8", "--t-final", t_final]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: --t-final must be positive, got {float(t_final)}"]
+
+
 def test_plan_flags_override_config_aliases(tmp_path, monkeypatch):
     cfg = tmp_path / "plan.json"
     cfg.write_text(json.dumps({"m": 1.0, "seed": 5, "T": 0.02}))

@@ -520,10 +520,11 @@ def halving_configs(sizes):
     ]
 
 
-def test_lockstep_meshes_match_their_own_runs():
+@pytest.mark.parametrize("include_phi", [True, False])
+def test_lockstep_meshes_match_their_own_runs(include_phi):
     # meshes 2, 8 and 16 in one stack: each makes the Newton iterations of
     # its own run at every step and ends where its own run ends
-    configs = halving_configs((2, 8, 16))
+    configs = [replace(c, include_phi=include_phi) for c in halving_configs((2, 8, 16))]
     spec = NoiseSpec(2.0, 15, 131e-3, 131)
     path = sample_path(spec, 41)
     tracks = [project_increments(path, c.mesh) for c in configs]
@@ -536,8 +537,57 @@ def test_lockstep_meshes_match_their_own_runs():
         assert [r.newton_iters for r in mine] == [r.newton_iters for r in alone.reports]
         scale = np.max(np.abs(alone.terminal))
         assert np.max(np.abs(terminals[k] - alone.terminal)) <= 1e-12 * scale
-    iters = [r.newton_iters for r in stack.reports[1::3]]
-    assert sum(iters) == 623 and max(iters) == 6
+    if include_phi:  # mesh 8 is the table_digest path, whose line search halves
+        iters = [r.newton_iters for r in stack.reports[1::3]]
+        assert sum(iters) == 623 and max(iters) == 6
+
+
+@pytest.mark.parametrize("include_phi", [True, False])
+def test_cubic_rows_are_zero_where_phi_must_not_act(include_phi):
+    # h is 0 on the pseudo-elements joining two stacked meshes, and
+    # everywhere without phi, so the kernel's rows are exact zeros there;
+    # elsewhere they are each mesh's own rows
+    configs = [replace(c, include_phi=include_phi) for c in halving_configs((2, 3, 8))]
+    ws = solver._Workspace(configs)
+    u = np.random.default_rng(3).uniform(-2.0, 2.0, int(ws.bounds[-1]))
+    rows = solver.cubic_terms(u, ws.h)
+    assert rows.shape == (5, u.size - 1)
+    if not include_phi:
+        assert np.all(rows == 0.0)
+        return
+    assert np.all(rows[:, ws.bounds[1:-1] - 1] == 0.0)
+    for config, nodes in zip(configs, ws.nodes):
+        own = solver.cubic_terms(u[nodes], config.mesh.h)
+        mine = rows[:, nodes.start : nodes.stop - 1]
+        assert np.max(np.abs(mine - own)) <= 1e-14 * np.max(np.abs(own))
+
+
+@pytest.mark.parametrize("include_phi", [True, False])
+def test_newton_band_is_the_derivative_of_the_evaluated_system(monkeypatch, include_phi):
+    # central differences of the system the solver evaluates, along each
+    # unit direction v, against the band of the first Newton iteration
+    # times v, on a stack of three meshes; criterion 9's step and bound
+    configs = [replace(c, include_phi=include_phi) for c in halving_configs((2, 3, 8))]
+    rng = np.random.default_rng(17)
+    u = rng.uniform(-2.0, 2.0, 16)
+    hist = SolutionHistory(configs, u)
+    ws, z = hist.workspace, hist._z.copy()
+    captured = []
+
+    def spy(kl, ku, ab, *args, **kwargs):
+        captured.append(band_to_dense(ab))
+        return gbsv(kl, ku, ab, *args, **kwargs)
+
+    gbsv = solver._gbsv
+    monkeypatch.setattr(solver, "_gbsv", spy)
+    step(hist, u)
+    band, delta = captured[0], 1e-7
+    fd = np.empty_like(band)
+    for col, v in enumerate(np.eye(z.size)):
+        plus, minus = solver._evaluate(ws, z + delta * v), solver._evaluate(ws, z - delta * v)
+        fd[:, col] = (plus[0] - minus[0]) / (2 * delta)
+    assert np.linalg.norm(fd - band) <= 1e-6 * np.linalg.norm(band)
+    assert np.all(fd[band == 0.0] == 0.0)  # nothing couples outside the band
 
 
 def test_first_stacked_newton_matrix_is_block_diagonal(monkeypatch):
@@ -621,8 +671,8 @@ def test_a_mesh_whose_trial_is_not_finite_fails_after_the_others_converge(monkey
     evaluate, gbsv, real_step = solver._evaluate, solver._gbsv, solver.step
     evaluations, solves, hists = [], [], []
 
-    def poisoned(config, ws, z, rows=None):
-        g, rows = evaluate(config, ws, z, rows)
+    def poisoned(ws, z, rows=None):
+        g, rows = evaluate(ws, z, rows)
         evaluations.append(None)
         if len(evaluations) == 2:  # the history's set-up, then step 1's first trial
             g[ws.unknowns[1]] = np.nan

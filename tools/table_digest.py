@@ -26,7 +26,10 @@ must not move any number leaves them byte-identical.  The document holds
   none of the workloads does, with that path's total and largest
   per-step Newton iteration counts.  A change that must move the residual
   traces (and so the digest) can still show that the Newton work did
-  not change.
+  not change;
+* the same digest and counts for the same path without phi on meshes 2,
+  8 and 16 stacked in lockstep, where the cubic must act neither on the
+  pseudo-elements joining two meshes nor anywhere else.
 
 The fracch sources come from ``src/`` of the checkout the script sits in,
 and BLAS is pinned to one thread so that its sums keep one order.
@@ -96,22 +99,26 @@ def newton_iters_of_study(doc: dict) -> tuple:
         solver.step, solver._gbsv = step, gbsv
 
 
-def halving_path_digest() -> dict:
-    mesh = UniformMesh1D(8)
+def path_digest(name: str, sizes, include_phi: bool) -> dict:
+    """SHA-256 of the states and residual traces of the halving path's
+    settings on the meshes ``sizes`` in lockstep, and its Newton totals."""
     tau, steps = 1e-3, 131
     spec = NoiseSpec(2.0, 15, tau * steps, steps)
-    track = project_increments(sample_path(spec, 41), mesh)
-    config = SchemeConfig(mesh=mesh, alpha=0.3, gamma=0.0, epsilon=0.5,
-                          tau=tau, num_steps=steps)
-    hist = run_path(config, "b", track)
+    path = sample_path(spec, 41)
+    configs = [
+        SchemeConfig(mesh=UniformMesh1D(size), alpha=0.3, gamma=0.0, epsilon=0.5,
+                     tau=tau, num_steps=steps, include_phi=include_phi)
+        for size in sizes
+    ]
+    hist = run_path(configs, "b", [project_increments(path, c.mesh) for c in configs])
     digest = hashlib.sha256(np.ascontiguousarray(hist.states_array()).tobytes())
     for report in hist.reports:
         digest.update(np.array(report.residual_trace).tobytes())
     iters = [report.newton_iters for report in hist.reports]
     return {
-        "halving_path_sha256": digest.hexdigest(),
-        "halving_path_newton_iters": sum(iters),
-        "halving_path_max_newton_iters": max(iters),
+        f"{name}_sha256": digest.hexdigest(),
+        f"{name}_newton_iters": sum(iters),
+        f"{name}_max_newton_iters": max(iters),
     }
 
 
@@ -131,7 +138,8 @@ def main() -> None:
     for alpha, epsilon in ORACLE_CASES:
         table = harness.linear_oracle_table(alpha=alpha, epsilon=epsilon)
         out[f"linear_oracle/alpha={alpha},epsilon={epsilon}"] = harness.table_text(table)
-    out.update(halving_path_digest())
+    out.update(path_digest("halving_path", [8], include_phi=True))
+    out.update(path_digest("phi_off_stack", [2, 8, 16], include_phi=False))
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
 
