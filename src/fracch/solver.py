@@ -23,35 +23,47 @@ with a slice of the lower-triangular Toeplitz matrix of the weights
 (the near part).  The sums are exact; only the order of the floating
 point additions differs from a step-by-step GEMV.
 
-Newton uses the exact Jacobian.  With the unknowns interleaved as
+Newton is simplified Newton (Hairer & Wanner, Solving Ordinary
+Differential Equations II, IV.8): the Jacobian is taken at some iterate
+and kept while the residual contracts.  With the unknowns interleaved as
 z = (U_0, W_0, U_1, W_1, ...) the linear part A of the system is banded
 with three sub- and three superdiagonals.  The workspace assembles A once
 in LAPACK band storage and builds its sparse form from the same rows, so
-the residual (one product A z) and the Jacobian (A minus the cubic terms,
-copied into one preallocated buffer) share one definition of A.  Each
-iteration is one LAPACK ``gbsv`` call with one right-hand side.
+the residual (one product A z) and the Newton matrix (A minus the cubic
+Jacobian) share one definition of A.  The history holds one LU of the
+Newton matrix (LAPACK ``gbtrf``), factored at the first step from the
+evaluation of u0, and each iteration is one ``gbtrs`` solve on it.  A
+mesh whose residual does not shrink by the factor THETA takes its
+Jacobian afresh at its current iterate and the band is factored again,
+so its next iteration is an exact Newton step; the new LU stays in use
+for the steps that follow.  A residual that grows (or is not finite)
+under an older LU sends the mesh back to its iterate for that exact
+step; on an exact step the line search halves it once.
 
 Each evaluation of an iterate -- A z and the per-element cubic rows of
-``fem1d.cubic_terms``, which give its load and the next iteration's
-Jacobian -- is done once.  The rows are laid out (rows, elements), as the
-kernel lays out the Gauss values, so each row goes into the residual or
-the band with one strided operation over the elements.  They scale with
-h, which is 0 wherever phi must not act (everywhere without phi).  The
-history keeps the evaluation of the last accepted iterate, and the next
-step starts from it: only M times the new known right-hand side changes.
-So a path evaluates once at its start and once per Newton trial.
+``fem1d.cubic_terms``, which give its load and, where the LU is
+refreshed at it, its Jacobian -- is done once.  The rows are laid out
+(rows, elements), as the kernel lays out the Gauss values, so each row
+goes into the residual or the band with one strided operation over the
+elements.  They scale with h, which is 0 wherever phi must not act
+(everywhere without phi), and are exact zeros there even where u
+overflows.  The history keeps the evaluation of the last accepted
+iterate, and the next step starts from it: only M times the new known
+right-hand side changes.  So a path evaluates once at its start and once
+per Newton trial.
 
 Runs that differ in the mesh alone share the time grid, the weights and
 the noise path, so :func:`run_path` advances them in lockstep, stacked
 mesh after mesh, as one block-diagonal Newton system.  This is exact per
 mesh: the concatenated band storage is zero wherever it would couple two
-meshes, so ``gbsv`` never pivots across blocks and adds exact zeros to
+meshes, so ``gbtrf`` never pivots across blocks and adds exact zeros to
 the other blocks, and the sparse form, which drops zeros, sums each row's
-own terms in their own order.  The cubic kernel runs once, with one h per
-element (the last bits change) and h = 0 on the pseudo-elements joining
-two meshes.  Norms, the line search and convergence are per mesh and a
-converged mesh takes no further update, so each mesh makes the
-iterations of its own solve.
+own terms in their own order.  A refresh replaces only the slow meshes'
+Jacobian rows, so the other meshes' factors come out bit-identical.  The
+cubic kernel runs once, with one h per element (the last bits change)
+and h = 0 on the pseudo-elements joining two meshes.  Norms, the line
+search, refreshes and convergence are per mesh and a converged mesh takes
+no further update, so each mesh makes the iterations of its own solve.
 """
 
 from __future__ import annotations
@@ -81,7 +93,10 @@ from fracch.noise import ProjectedNoiseTrack, integrated_noise
 BLOCK = 64
 # Sub- and superdiagonals of the interleaved Newton matrix.
 _BANDS = 3
-(_gbsv,) = get_lapack_funcs(("gbsv",), (np.empty(0),))
+# A mesh whose Newton residual shrinks by less than this factor in one
+# iteration takes its Jacobian afresh at its iterate.
+THETA = 0.1
+_gbtrf, _gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -184,11 +199,11 @@ class _Workspace:
         self.nodes = [slice(a, b) for a, b in zip(self.bounds[:-1], self.bounds[1:])]
         self.unknowns = [slice(2 * s.start, 2 * s.stop) for s in self.nodes]
         # h per element, 0 (and so are the cubic rows) on the pseudo-elements
-        # joining two meshes and everywhere without phi.  One mesh keeps a
-        # scalar h: its kernel call takes 12.9 us, not 14.7 us
+        # joining two meshes and everywhere without phi.  One mesh with phi
+        # keeps a scalar h: its kernel call takes 12.9 us, not 14.7 us
         hs = [np.append(np.full(m.num_elements, m.h), 0.0) for m in meshes]
-        h = config.mesh.h if len(meshes) == 1 else np.concatenate(hs)[:-1]
-        self.h = h * config.include_phi
+        one = len(meshes) == 1 and config.include_phi
+        self.h = config.mesh.h if one else np.concatenate(hs)[:-1] * config.include_phi
         def stack(assemble):  # one tridiagonal matrix, zero between meshes
             mats = [assemble(m) for m in meshes]
             off = np.concatenate([np.append(m.offdiag, 0.0) for m in mats])[:-1]
@@ -200,7 +215,7 @@ class _Workspace:
         self.alpha_weights = cq_weights(config.alpha, config.num_steps)
         self.tau_na = config.tau**-config.alpha
         eps2 = config.epsilon**2
-        # LAPACK gbsv layout: rows 0..2 are room for the fill-in of the
+        # LAPACK gbtrf layout: rows 0..2 are room for the fill-in of the
         # factorization and entry (r, c) sits in row 6 - (c - r).  Rows and
         # columns interleave (U, W), so block (e, f) of A, equation e against
         # unknown f, sits at r = 2i + e, c = 2k + f.
@@ -217,8 +232,6 @@ class _Workspace:
         self.op = dia_array(
             (ab[_BANDS:], np.arange(_BANDS, -_BANDS - 1, -1)), shape=(2 * n, 2 * n)
         ).tocsr()
-        # each Newton matrix is assembled here and factorized in place
-        self.newton_ab = np.empty_like(ab, order="F")
 
 
 def _evaluate(ws: _Workspace, z: np.ndarray, rows=None) -> tuple:
@@ -236,7 +249,8 @@ def _evaluate(ws: _Workspace, z: np.ndarray, rows=None) -> tuple:
 class SolutionHistory:
     """States U^0..U^n of one run, or of lockstep runs stacked mesh after
     mesh, plus the latest (U, W) and its evaluation, from which the next
-    step starts.  Only a one-mesh history has ``config``."""
+    step starts, and the LU of the Newton matrix that the steps share.
+    Only a one-mesh history has ``config``."""
 
     def __init__(self, config, u0: np.ndarray):
         self.configs = (config,) if isinstance(config, SchemeConfig) else tuple(config)
@@ -258,6 +272,11 @@ class SolutionHistory:
         self._z[0::2] = u0
         self._z[1::2] = ws.mass.solve(first.epsilon**2 * ws.stiff.matvec(u0) + f0)
         self._g, self._rows = _evaluate(ws, self._z, rows)
+        # the LU that the steps share and the cubic rows of its Jacobian,
+        # each mesh's from the iterate of its last refresh; the first step
+        # factors it, at u0
+        self._jac = np.empty_like(rows)
+        self._lu = self._piv = None
         self.reports: list[StepReport] = []  # each step's, mesh after mesh
         self.max_mass_drift = 0.0
         self.mass_tol = [math.inf] * len(self.configs)  # run_path sets the bounds
@@ -329,6 +348,10 @@ def step(hist: SolutionHistory, known) -> list:
     - sum_{j<n} a_{n-j} U^j) + b^n of the terms free of U^n.  A failure is
     raised once every mesh has finished the step, the first mesh's first;
     only a singular Newton matrix stops the step at once.
+
+    Each iteration solves with the history's LU, which a mesh refreshes at
+    its iterate when its residual shrank by less than THETA in the last
+    iteration (see the module docstring).
     """
     config, ws, n = hist.configs[0], hist.workspace, hist.size
     if n > config.num_steps:
@@ -348,39 +371,49 @@ def step(hist: SolutionHistory, known) -> list:
     traces = [[norm] for norm in norms]  # each mesh's last entry is its iterate's norm
     meshes = range(len(traces))
     active, failed = list(meshes), {}
-    ab = ws.newton_ab
+    refresh = list(meshes) if hist._lu is None else []  # the first step factors
+    jac = hist._jac
     for _ in range(config.newton_max):
-        # A minus the cubic Jacobian (W rows, U columns) from the LL, RR, LR rows
-        np.copyto(ab, ws.ab_static)
-        ab[7, 0:-2:2] -= rows[2]
-        ab[7, 2::2] -= rows[3]
-        ab[5, 2::2] -= rows[4]
-        ab[9, 0:-2:2] -= rows[4]
-        _, _, dz, info = _gbsv(_BANDS, _BANDS, ab, res, overwrite_ab=True, overwrite_b=True)
-        if info > 0:
-            mesh = int(np.searchsorted(ws.bounds, (info - 1) // 2, side="right")) - 1
-            raise NewtonDivergence(n, traces[mesh], "singular Newton matrix", mesh)
-        if info < 0:
-            raise ValueError(f"gbsv rejected argument {-info}")
+        # the meshes to refresh take their Jacobian rows at this iterate, so
+        # their iteration is an exact Newton step; the others keep theirs
+        exact = refresh
+        if refresh:
+            for mesh in refresh:
+                jac[:, ws.nodes[mesh]] = rows[:, ws.nodes[mesh]]
+            # A minus the cubic Jacobian (W rows, U columns) from the LL, RR, LR rows
+            ab = np.array(ws.ab_static, order="F")
+            ab[7, 0:-2:2] -= jac[2]
+            ab[7, 2::2] -= jac[3]
+            ab[5, 2::2] -= jac[4]
+            ab[9, 0:-2:2] -= jac[4]
+            hist._lu, hist._piv, info = _gbtrf(ab, _BANDS, _BANDS, overwrite_ab=True)
+            if info > 0:
+                mesh = int(np.searchsorted(ws.bounds, (info - 1) // 2, side="right")) - 1
+                raise NewtonDivergence(n, traces[mesh], "singular Newton matrix", mesh)
+        dz, _ = _gbtrs(hist._lu, _BANDS, _BANDS, res, hist._piv, overwrite_b=True)
         if len(active) < len(meshes):
             for mesh in set(meshes).difference(active):
                 dz[ws.unknowns[mesh]] = 0.0
 
-        # full step, then a single halving where the residual grew, then
-        # accept whatever comes out; a mesh whose trial is not finite fails
-        # and keeps its iterate.  The last evaluation is of the accepted z
-        z_new, halved, redo = z + dz, [], True
+        # full step.  A mesh whose residual grew (or is not finite) goes back
+        # to its iterate: after a step on an older LU, to be refreshed there;
+        # after an exact step, to halve it once and accept whatever comes
+        # out, or to fail where the trial is not finite.  The last
+        # evaluation is of the accepted z
+        z_new, settled, redo = z + dz, [], True
         while redo:
             g, rows = _evaluate(ws, z_new)
             res, new = residual(g)
             redo = False
             for mesh in active[:]:
-                if new[mesh] <= traces[mesh][-1] or mesh in halved and math.isfinite(new[mesh]):
+                if new[mesh] <= traces[mesh][-1] or mesh in settled and math.isfinite(new[mesh]):
                     continue
                 part, redo = ws.unknowns[mesh], True
                 z_new[part] = z[part]
+                settled.append(mesh)
+                if mesh not in exact:
+                    continue
                 if math.isfinite(new[mesh]):
-                    halved.append(mesh)
                     z_new[part] += 0.5 * dz[part]
                 else:
                     failed[mesh] = NewtonDivergence(n, [*traces[mesh], new[mesh]], mesh=mesh)
@@ -389,6 +422,7 @@ def step(hist: SolutionHistory, known) -> list:
         for mesh in active:
             traces[mesh].append(new[mesh])
         active = [m for m in active if new[m] > config.newton_tol * scale[m]]
+        refresh = [m for m in active if new[m] > THETA * traces[m][-2]]
         if not active:
             break
     for mesh in active:

@@ -340,6 +340,71 @@ def classic_mixed_be(mesh, epsilon, tau, num_steps, forcing, u0, tol=1e-13):
     return states
 
 
+def exact_newton_path(config, u0, track=None, tol=1e-14):
+    """The fractional scheme of ``fracch.solver`` stepped with exact Newton
+    on dense matrices: the known term from binomial weights, the cubic
+    load and Jacobian of :func:`nonlinear_load` and
+    :func:`nonlinear_jacobian`, and the full Newton matrix solved with
+    numpy at every iteration, until the residual is at most
+    ``tol * (1 + |M known|)`` or stops shrinking.  A step that does not
+    shrink the residual is halved until it does, up to 40 times.
+
+    Returns the states (num_steps + 1, nodes) and, per step, the 2-norm
+    of the inverse Newton matrix at the solution times 1 + |M known|:
+    how far a residual of ``newton_tol`` times the solver's scale can move
+    that step's solution.
+    """
+    mesh, tau, num_steps = config.mesh, config.tau, config.num_steps
+    n = mesh.num_nodes
+    mass, stiff = dense_mass(mesh), dense_stiffness(mesh)
+    eps2, ta = config.epsilon**2, tau**-config.alpha
+    a = binomial_weights(config.alpha, num_steps)
+    phi = config.include_phi
+
+    def load(u):
+        return nonlinear_load(FeFunction(mesh, u)) if phi else np.zeros(n)
+
+    def newton_matrix(u):
+        jac = np.zeros((2 * n, 2 * n))
+        jac[:n, :n], jac[:n, n:] = ta * mass, stiff
+        jac[n:, :n], jac[n:, n:] = -eps2 * stiff, mass
+        if phi:
+            jac[n:, :n] -= dense(nonlinear_jacobian(FeFunction(mesh, u)))
+        return jac
+
+    states = np.zeros((num_steps + 1, n))
+    states[0] = u = np.asarray(u0, dtype=float)
+    w = np.linalg.solve(mass, eps2 * stiff @ u + load(u))
+    budget = []
+    for step in range(1, num_steps + 1):
+        known = ta * (a[: step + 1].sum() * states[0] - a[step:0:-1] @ states[:step])
+        if track is not None:
+            known += frac_integrated_noise(track, config.gamma, tau, step)
+        rhs = mass @ known
+        scale = 1.0 + np.linalg.norm(rhs)
+
+        def residual(u, w):
+            return np.concatenate([
+                ta * mass @ u + stiff @ w - rhs,
+                mass @ w - eps2 * stiff @ u - load(u),
+            ])
+
+        res = residual(u, w)
+        while np.linalg.norm(res) > tol * scale:
+            dz = np.linalg.solve(newton_matrix(u), -res)
+            for _ in range(40):
+                res_new = residual(u + dz[:n], w + dz[n:])
+                if np.linalg.norm(res_new) < np.linalg.norm(res):
+                    break
+                dz /= 2.0
+            else:  # the residual is as small as rounding lets it be
+                break
+            u, w, res = u + dz[:n], w + dz[n:], res_new
+        states[step] = u
+        budget.append(np.linalg.norm(np.linalg.inv(newton_matrix(u)), 2) * scale)
+    return states, np.array(budget)
+
+
 # ---------------------------------------------------------------------------
 # Helpers that only the tests use.
 

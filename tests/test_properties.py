@@ -1,4 +1,5 @@
-"""Property tests of the plan boundary and the CQ weight blocks.
+"""Property tests of the plan boundary, the CQ weight blocks and the
+simplified Newton stepper.
 
 Hypothesis runs derandomized with a fixed example count and no example
 database, so every run tests the same inputs.
@@ -11,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracch.fem1d import UniformMesh1D
 from fracch.fracops import cq_block, cq_weights
 from fracch.harness import (
     _PLAN_ALIASES,
@@ -19,7 +21,9 @@ from fracch.harness import (
     plan_from_json,
     validate_config,
 )
-from oracles import binomial_weights
+from fracch.noise import NoiseSpec, project_increments, sample_path
+from fracch.solver import SchemeConfig, initial_state, run_path
+from oracles import binomial_weights, exact_newton_path
 
 FIXED = settings(derandomize=True, max_examples=200, database=None, deadline=None)
 
@@ -80,3 +84,37 @@ def test_cq_block_is_a_slice_of_the_dense_toeplitz_matrix(order, data):
     block = cq_block(cq_weights(order, n_max), first, rows, cols)
     assert block.shape == (rows, cols)
     np.testing.assert_allclose(block, dense[first : first + rows], rtol=1e-10, atol=1e-15)
+
+
+@settings(derandomize=True, max_examples=60, database=None, deadline=None)
+@given(
+    st.floats(0.5, 1.0), st.floats(0.0, 1.0), st.floats(0.3, 1.0),
+    st.floats(-4.0, -2.0), st.integers(1, 12), st.sampled_from([1e-10, 1e-8, 1e-6]),
+    st.lists(st.sampled_from([2, 3, 4, 8]), min_size=1, max_size=3),
+    st.floats(0.0, 1.0), st.integers(0, 2**16),
+)
+def test_simplified_newton_meets_its_tolerance_and_the_exact_newton_oracle(
+    alpha, gamma, epsilon, log_tau, num_steps, tol, sizes, amplitude, seed
+):
+    # small configs, one mesh or a lockstep stack, in the range where each
+    # step's system has one solution (tau^alpha < 4 eps^2).  Every step ends
+    # within newton_tol of its scale, so each step's state is within
+    # |J^-1| newton_tol (1 + |M known|) of the exact one; the terminal state
+    # may differ from the exact Newton path by at most the sum over the steps
+    tau = 10.0**log_tau
+    configs = [
+        SchemeConfig(mesh=UniformMesh1D(size), alpha=alpha, gamma=gamma, epsilon=epsilon,
+                     tau=tau, num_steps=num_steps, newton_tol=tol)
+        for size in sizes
+    ]
+    path = sample_path(NoiseSpec(2.0, 5, tau * num_steps, num_steps), seed)
+    tracks = [project_increments(path, c.mesh) for c in configs]
+    # a stack takes a case tag; one mesh a random datum of the drawn size
+    rng = np.random.default_rng(seed)
+    datum = amplitude * rng.uniform(-1.0, 1.0, sizes[0] + 1) if len(sizes) == 1 else "b"
+    hist = run_path(configs, datum, tracks)
+    terminals = hist.split(hist.terminal)
+    for k, (config, track) in enumerate(zip(configs, tracks)):
+        assert all(r.final_residual <= tol for r in hist.reports[k :: len(configs)])
+        states, budget = exact_newton_path(config, initial_state(datum, config.mesh).coeffs, track)
+        assert np.max(np.abs(terminals[k] - states[-1])) <= tol * budget.sum()

@@ -238,7 +238,7 @@ def test_band_operator_applies_both_equations(num_elements):
 
 
 def band_to_dense(ab):
-    """The square matrix held in the LAPACK gbsv band layout of solver."""
+    """The square matrix held in the LAPACK gbtrf band layout of solver."""
     cols = ab.shape[1]
     out = np.zeros((cols, cols))
     for r in range(cols):
@@ -247,24 +247,31 @@ def band_to_dense(ab):
     return out
 
 
+def spy_factorizations(monkeypatch) -> list:
+    """Each Newton matrix solver factors from now on, as a dense array
+    captured before gbtrf factors it in place."""
+    captured = []
+    gbtrf = solver._gbtrf
+
+    def spy(ab, *args, **kwargs):
+        captured.append(band_to_dense(ab))
+        return gbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_gbtrf", spy)
+    return captured
+
+
 @pytest.mark.parametrize("num_elements", [2, 3, 8, 64])
 def test_newton_band_is_the_operator_minus_the_oracle_jacobian(monkeypatch, num_elements):
-    # the matrix of the first Newton iteration, captured before gbsv
-    # factorizes it in place: A minus the cubic Jacobian at the carried u
-    # in the W rows and U columns
+    # the matrix the first step factors, captured before gbtrf factors it
+    # in place: A minus the cubic Jacobian at the carried u in the W rows
+    # and U columns
     mesh = UniformMesh1D(num_elements)
     config = SchemeConfig(mesh=mesh, alpha=0.6, gamma=0.5, epsilon=0.1,
                           tau=1e-3, num_steps=1)
     u = np.random.default_rng(num_elements).uniform(-2.0, 2.0, mesh.num_nodes)
     hist = SolutionHistory(config, u)
-    captured = []
-
-    def spy(kl, ku, ab, *args, **kwargs):
-        captured.append(band_to_dense(ab))
-        return gbsv(kl, ku, ab, *args, **kwargs)
-
-    gbsv = solver._gbsv
-    monkeypatch.setattr(solver, "_gbsv", spy)
+    captured = spy_factorizations(monkeypatch)
     step(hist, u)
     expected = band_to_dense(hist.workspace.ab_static)
     expected[1::2, 0::2] -= dense(nonlinear_jacobian(FeFunction(mesh, u)))
@@ -274,15 +281,15 @@ def test_newton_band_is_the_operator_minus_the_oracle_jacobian(monkeypatch, num_
 @pytest.mark.parametrize("halves", [True, False])
 def test_one_cubic_evaluation_per_newton_trial(monkeypatch, halves):
     # a path calls the cubic kernel once at its start and once per Newton
-    # trial, which without halvings is once per iteration (with halvings:
-    # the table_digest path)
+    # trial, which without halvings or retries is once per iteration (with
+    # them: the table_digest path)
     if halves:
         mesh, tau, num_steps, seed = UniformMesh1D(8), 1e-3, 131, 41
         config = SchemeConfig(mesh=mesh, alpha=0.3, gamma=0.0, epsilon=0.5,
                               tau=tau, num_steps=num_steps)
-    else:
+    else:  # a path whose Newton matrix is refreshed, but never on a retry
         mesh, tau, num_steps, seed = UniformMesh1D(32), 0.01, 10, 23
-        config = SchemeConfig(mesh=mesh, alpha=0.7, gamma=0.4, epsilon=0.1,
+        config = SchemeConfig(mesh=mesh, alpha=0.7, gamma=0.4, epsilon=0.3,
                               tau=tau, num_steps=num_steps)
     calls = {"kernel": 0, "evaluate": 0}
 
@@ -313,15 +320,18 @@ def test_reruns_are_byte_identical():
 
 
 def test_singular_newton_matrix_raises():
-    mesh = UniformMesh1D(8)
-    config = SchemeConfig(mesh=mesh, alpha=0.5, gamma=0.5, epsilon=1.0,
-                          tau=0.01, num_steps=1)
-    hist = SolutionHistory(config, initial_state("b", mesh).coeffs)
-    hist.workspace.ab_static[:] = 0.0
-    with pytest.raises(NewtonDivergence, match="singular") as info:
-        step(hist, hist.u0)
-    assert info.value.step_index == 1
-    assert hist.size == 1
+    # the first step factors the Newton matrix; where the linear part of
+    # the last mesh is zero, the LU is singular and the step names the mesh
+    for sizes in ((8,), (2, 3, 8)):
+        configs = halving_configs(sizes)
+        hist = SolutionHistory(configs, np.concatenate(
+            [initial_state("b", c.mesh).coeffs for c in configs]))
+        ws = hist.workspace
+        ws.ab_static[:, ws.unknowns[-1]] = 0.0
+        with pytest.raises(NewtonDivergence, match="singular Newton matrix") as info:
+            step(hist, hist.u0)
+        assert (info.value.step_index, info.value.mesh) == (1, len(sizes) - 1)
+        assert hist.size == 1
 
 
 def test_mean_carrying_noise_breaks_mass_conservation():
@@ -347,25 +357,46 @@ def test_step_guards():
         SolutionHistory(config, np.zeros(7))
 
 
-def test_newton_reports_and_quadratic_tail():
+def test_newton_reports_and_quadratic_tail(monkeypatch):
+    # each iteration shrinks the residual by THETA, or converges, or is
+    # followed by a refresh of the LU at its iterate; the iteration after
+    # a refresh is an exact Newton step, so its residual is quadratic in
+    # the one before
     mesh = UniformMesh1D(16)
     x = mesh.nodes()
     u0 = 0.8 * np.cos(2 * np.pi * x)
     config = SchemeConfig(mesh=mesh, alpha=0.5, gamma=0.5, epsilon=0.5,
                           tau=0.05, num_steps=8)
     track = make_track(mesh, 0.05, 8, 17)
+    events = []  # "|" per step, "f" per factorization, "s" per solve
+
+    def logged(name, fun):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fun(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(solver, "_gbtrf", logged("f", solver._gbtrf))
+    monkeypatch.setattr(solver, "_gbtrs", logged("s", solver._gbtrs))
+    monkeypatch.setattr(solver, "step", logged("|", solver.step))
     hist = run_path(config, u0, track)
+    steps = "".join(events).split("|")[1:]
     saw_multistep = False
-    for rep in hist.reports:
+    for rep, calls in zip(hist.reports, steps, strict=True):
         assert rep.final_residual <= config.newton_tol
         trace = rep.residual_trace
         # trace carries the pre-iteration residual as its first entry
-        assert len(trace) == rep.newton_iters + 1
-        if len(trace) >= 2:
-            saw_multistep = True
-            assert (trace[-1] <= 100.0 * trace[-2] ** 2
-                    or trace[-1] <= config.newton_tol)
+        assert len(trace) == rep.newton_iters + 1 == calls.count("s") + 1
+        saw_multistep |= len(trace) > 2
+        exact = [before.endswith("f") for before in calls.split("s")[:-1]]
+        tol = config.newton_tol * trace[-1] / rep.final_residual
+        for i in range(1, len(trace)):
+            refreshed_next = i < len(exact) and exact[i]
+            assert trace[i] <= solver.THETA * trace[i - 1] or trace[i] <= tol or refreshed_next
+            if exact[i - 1]:
+                assert trace[i] <= 100.0 * trace[i - 1] ** 2 or trace[i] <= tol
     assert saw_multistep
+    assert events.count("f") > 1  # a refresh after the first step's factorization
 
 
 def test_mass_conservation_with_noise():
@@ -539,7 +570,7 @@ def test_lockstep_meshes_match_their_own_runs(include_phi):
         assert np.max(np.abs(terminals[k] - alone.terminal)) <= 1e-12 * scale
     if include_phi:  # mesh 8 is the table_digest path, whose line search halves
         iters = [r.newton_iters for r in stack.reports[1::3]]
-        assert sum(iters) == 623 and max(iters) == 6
+        assert sum(iters) == 1013 and max(iters) == 11
 
 
 @pytest.mark.parametrize("include_phi", [True, False])
@@ -565,21 +596,14 @@ def test_cubic_rows_are_zero_where_phi_must_not_act(include_phi):
 @pytest.mark.parametrize("include_phi", [True, False])
 def test_newton_band_is_the_derivative_of_the_evaluated_system(monkeypatch, include_phi):
     # central differences of the system the solver evaluates, along each
-    # unit direction v, against the band of the first Newton iteration
-    # times v, on a stack of three meshes; criterion 9's step and bound
+    # unit direction v, against the band the first step factors times v,
+    # on a stack of three meshes; criterion 9's step and bound
     configs = [replace(c, include_phi=include_phi) for c in halving_configs((2, 3, 8))]
     rng = np.random.default_rng(17)
     u = rng.uniform(-2.0, 2.0, 16)
     hist = SolutionHistory(configs, u)
     ws, z = hist.workspace, hist._z.copy()
-    captured = []
-
-    def spy(kl, ku, ab, *args, **kwargs):
-        captured.append(band_to_dense(ab))
-        return gbsv(kl, ku, ab, *args, **kwargs)
-
-    gbsv = solver._gbsv
-    monkeypatch.setattr(solver, "_gbsv", spy)
+    captured = spy_factorizations(monkeypatch)
     step(hist, u)
     band, delta = captured[0], 1e-7
     fd = np.empty_like(band)
@@ -595,14 +619,7 @@ def test_first_stacked_newton_matrix_is_block_diagonal(monkeypatch):
     configs = halving_configs(sizes)
     rng = np.random.default_rng(5)
     u0 = [rng.uniform(-2.0, 2.0, size + 1) for size in sizes]
-    captured = []
-
-    def spy(kl, ku, ab, *args, **kwargs):
-        captured.append(band_to_dense(ab))
-        return gbsv(kl, ku, ab, *args, **kwargs)
-
-    gbsv = solver._gbsv
-    monkeypatch.setattr(solver, "_gbsv", spy)
+    captured = spy_factorizations(monkeypatch)
     blocks = []
     for config, u in zip(configs, u0):
         step(SolutionHistory(config, u), u)
@@ -668,7 +685,7 @@ def test_a_mesh_whose_trial_is_not_finite_fails_after_the_others_converge(monkey
     path = sample_path(NoiseSpec(2.0, 15, 131e-3, 131), 41)
     tracks = [project_increments(path, c.mesh) for c in configs]
     first = run_path(configs, "b", tracks).reports[:3]  # step 1, mesh after mesh
-    evaluate, gbsv, real_step = solver._evaluate, solver._gbsv, solver.step
+    evaluate, gbtrs, real_step = solver._evaluate, solver._gbtrs, solver.step
     evaluations, solves, hists = [], [], []
 
     def poisoned(ws, z, rows=None):
@@ -679,7 +696,7 @@ def test_a_mesh_whose_trial_is_not_finite_fails_after_the_others_converge(monkey
         return g, rows
 
     monkeypatch.setattr(solver, "_evaluate", poisoned)
-    monkeypatch.setattr(solver, "_gbsv", lambda *a, **k: solves.append(None) or gbsv(*a, **k))
+    monkeypatch.setattr(solver, "_gbtrs", lambda *a, **k: solves.append(None) or gbtrs(*a, **k))
     monkeypatch.setattr(solver, "step", lambda h, known: hists.append(h) or real_step(h, known))
     with pytest.raises(NewtonDivergence) as info:
         run_path(configs, "b", tracks)
@@ -690,3 +707,84 @@ def test_a_mesh_whose_trial_is_not_finite_fails_after_the_others_converge(monkey
     assert not math.isfinite(failure.residuals[1])
     assert len(solves) == max(first[0].newton_iters, first[2].newton_iters)
     assert len(hists) == 1 and hists[0].size == 1
+
+
+@pytest.mark.parametrize("include_phi", [True, False])
+def test_an_overflowing_mesh_leaves_its_neighbours_finite(include_phi):
+    # U = 1e200 at mesh 1's first node overflows the cubic on its first
+    # element and on the pseudo-element joining it to mesh 0, whose h = 0
+    # rows must stay exact zeros; without phi every row is one
+    configs = [replace(c, include_phi=include_phi) for c in halving_configs((2, 3, 8))]
+    hist = SolutionHistory(configs, np.zeros(16))
+    ws, z = hist.workspace, hist._z.copy()
+    z[2 * ws.bounds[1]] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, rows = solver._evaluate(ws, z)
+    finite = [bool(np.all(np.isfinite(g[part]))) for part in ws.unknowns]
+    assert finite == ([True, False, True] if include_phi else [True, True, True])
+    assert np.all(rows[:, ws.bounds[1:-1] - 1] == 0.0)
+
+
+def rough_runs(sizes):
+    # the criterion 6 row's settings on small meshes, 80 steps to t = 0.01,
+    # with one noise path: a path whose LU is never refreshed
+    configs = [
+        SchemeConfig(mesh=UniformMesh1D(size), alpha=0.75, gamma=0.8, epsilon=0.1,
+                     tau=1.25e-4, num_steps=80)
+        for size in sizes
+    ]
+    path = sample_path(NoiseSpec(1.0, 15, 0.01, 80), 41)
+    return configs, [project_increments(path, c.mesh) for c in configs]
+
+
+@pytest.mark.parametrize("sizes", [(32,), (2, 8, 16)])
+def test_a_path_that_never_refreshes_factors_once(monkeypatch, sizes):
+    # one gbtrf per run_path, at its first step, and one gbtrs per lockstep
+    # iteration; a stack shares its one LU
+    configs, tracks = rough_runs(sizes)
+    calls = {"_gbtrf": 0, "_gbtrs": 0}
+    for name in calls:
+        def counted(*args, name=name, fun=getattr(solver, name), **kwargs):
+            calls[name] += 1
+            return fun(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counted)
+    hist = run_path(configs, "b", tracks)
+    lockstep = [max(r.newton_iters for r in hist.reports[n : n + len(sizes)])
+                for n in range(0, len(hist.reports), len(sizes))]
+    assert calls == {"_gbtrf": 1, "_gbtrs": sum(lockstep)}
+    assert sum(lockstep) > 80  # Newton iterates more than once on some steps
+
+
+def test_a_trial_that_fails_under_an_older_lu_retries_with_an_exact_step(monkeypatch):
+    # mesh 1's part of g is NaN at step 2's first trial, whose LU dates
+    # from step 1: mesh 1 goes back to its iterate (the trace repeats its
+    # first norm), its rows alone are refreshed there, and the path runs
+    # on.  The other meshes' factors and so their states stay bit-identical
+    configs, tracks = rough_runs((2, 8, 16))
+    clean = run_path(configs, "b", tracks)
+    evaluate, real_step = solver._evaluate, solver.step
+    poison = []
+
+    def poisoned(ws, z, rows=None):
+        g, rows = evaluate(ws, z, rows)
+        if poison and poison.pop():
+            g[ws.unknowns[1]] = np.nan
+        return g, rows
+
+    monkeypatch.setattr(solver, "_evaluate", poisoned)
+    monkeypatch.setattr(solver, "step",
+                        lambda h, known: poison.append(h.size == 2) or real_step(h, known))
+    captured = spy_factorizations(monkeypatch)
+    hist = run_path(configs, "b", tracks)
+    assert len(captured) == 2  # step 1's LU and mesh 1's refresh at step 2
+    retried = hist.reports[3 + 1].residual_trace  # step 2, mesh 1
+    assert retried[1] == retried[0] and retried[-1] < retried[0]
+    mine, theirs = hist.split(hist.terminal), clean.split(clean.terminal)
+    for k in (0, 2):
+        assert np.array_equal(hist.states_array()[:, hist.workspace.nodes[k]],
+                              clean.states_array()[:, clean.workspace.nodes[k]])
+    assert np.max(np.abs(mine[1] - theirs[1])) <= 1e-8 * np.max(np.abs(theirs[1]))
+    # the refresh replaced mesh 1's Jacobian rows alone
+    changed = np.any(captured[1] != captured[0], axis=0)
+    assert np.all(changed[: 2 * 3] == 0) and np.all(changed[2 * 12 :] == 0)
+    assert np.any(changed[2 * 3 : 2 * 12])

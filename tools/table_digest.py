@@ -10,9 +10,11 @@ must not move any number leaves them byte-identical.  The document holds
 * ``table_text`` of the three ``perfbench`` workload plans at seed 2026,
   each with the total Newton iterations of its study, summed over every
   mesh, so a change that must keep the iterates can show that it did
-  even where the last digits of a table move, and the number of
-  stacked Newton solves (``lockstep_iters``: one ``gbsv`` call each,
-  fewer than the iterations where meshes run in lockstep);
+  even where the last digits of a table move, the number of stacked
+  Newton solves (``lockstep_iters``: one ``gbtrs`` call each, fewer than
+  the iterations where meshes run in lockstep) and the number of LU
+  factorizations (``factorizations``: one ``gbtrf`` call each, one per
+  path plus one per refresh of the Newton matrix);
 * ``table_text`` of three small plans (temporal, temporal with the
   resolution equal to the reference, spatial) at ``workers`` 1 and 2;
 * ``table_text`` of the linear oracle table at alpha 0.5, and at the
@@ -24,9 +26,9 @@ must not move any number leaves them byte-identical.  The document holds
   (mesh 8, tau 1e-3, alpha 0.3, gamma 0, eps 0.5, 131 steps, noise seed
   41, case "b") on which the line search halves the Newton step, which
   none of the workloads does, with that path's total and largest
-  per-step Newton iteration counts.  A change that must move the residual
-  traces (and so the digest) can still show that the Newton work did
-  not change;
+  per-step Newton iteration counts and its numbers of solves and
+  factorizations.  A change that must move the residual traces (and so
+  the digest) can still show that the Newton work did not change;
 * the same digest and counts for the same path without phi on meshes 2,
   8 and 16 stacked in lockstep, where the cubic must act neither on the
   pseudo-elements joining two meshes nor anywhere else.
@@ -76,27 +78,44 @@ def study_text(doc: dict) -> str:
     return harness.table_text(harness.run_study(harness.plan_from_json(doc)))
 
 
+def counting_lapack(run) -> tuple:
+    """``run()``'s result and its numbers of ``gbtrs`` solves and ``gbtrf``
+    factorizations; it must run in this process."""
+    counts = {"_gbtrs": 0, "_gbtrf": 0}
+    real = {name: getattr(solver, name) for name in counts}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return real[name](*args, **kwargs)
+        return call
+
+    for name in counts:
+        setattr(solver, name, counted(name))
+    try:
+        return run(), counts["_gbtrs"], counts["_gbtrf"]
+    finally:
+        for name, fun in real.items():
+            setattr(solver, name, fun)
+
+
 def newton_iters_of_study(doc: dict) -> tuple:
     """The study's table text, the Newton iterations of all its meshes'
-    steps and its number of stacked Newton solves; the plan must run in
-    this process (``workers`` 1)."""
-    step, gbsv = solver.step, solver._gbsv
-    counts = {"iters": 0, "solves": 0}
+    steps and its numbers of stacked Newton solves and factorizations;
+    the plan must run in this process (``workers`` 1)."""
+    step, iters = solver.step, [0]
 
     def counting_step(hist, known):
         reports = step(hist, known)
-        counts["iters"] += sum(report.newton_iters for report in reports)
+        iters[0] += sum(report.newton_iters for report in reports)
         return reports
 
-    def counting_gbsv(*args, **kwargs):
-        counts["solves"] += 1
-        return gbsv(*args, **kwargs)
-
-    solver.step, solver._gbsv = counting_step, counting_gbsv
+    solver.step = counting_step
     try:
-        return study_text(doc), counts["iters"], counts["solves"]
+        text, solves, factorizations = counting_lapack(lambda: study_text(doc))
     finally:
-        solver.step, solver._gbsv = step, gbsv
+        solver.step = step
+    return text, iters[0], solves, factorizations
 
 
 def path_digest(name: str, sizes, include_phi: bool) -> dict:
@@ -110,7 +129,8 @@ def path_digest(name: str, sizes, include_phi: bool) -> dict:
                      tau=tau, num_steps=steps, include_phi=include_phi)
         for size in sizes
     ]
-    hist = run_path(configs, "b", [project_increments(path, c.mesh) for c in configs])
+    tracks = [project_increments(path, c.mesh) for c in configs]
+    hist, solves, factorizations = counting_lapack(lambda: run_path(configs, "b", tracks))
     digest = hashlib.sha256(np.ascontiguousarray(hist.states_array()).tobytes())
     for report in hist.reports:
         digest.update(np.array(report.residual_trace).tobytes())
@@ -119,6 +139,8 @@ def path_digest(name: str, sizes, include_phi: bool) -> dict:
         f"{name}_sha256": digest.hexdigest(),
         f"{name}_newton_iters": sum(iters),
         f"{name}_max_newton_iters": max(iters),
+        f"{name}_lockstep_iters": solves,
+        f"{name}_factorizations": factorizations,
     }
 
 
@@ -130,6 +152,7 @@ def main() -> None:
             out[f"workload/{name}"],
             out[f"workload/{name}/newton_iters"],
             out[f"workload/{name}/lockstep_iters"],
+            out[f"workload/{name}/factorizations"],
         ) = newton_iters_of_study(doc)
     for name, doc in SMALL_PLANS.items():
         for workers in (1, 2):
