@@ -188,8 +188,9 @@ def cubic_terms(u: np.ndarray, h) -> np.ndarray:
     u[:-1] and u[1:], the Jacobian's diagonal rows 2 and 3, and row 4 is
     its off-diagonal.  u's Gauss values are laid out (points, elements),
     so each elementwise loop runs over the elements, not three points.
-    ``h`` is the element size, or one size per element; where it is 0 the
-    rows are exact zeros, even where u is not finite."""
+    ``h`` is the element size, or one size per element, applied after the
+    product, so an element's rows have the same bits either way; where h is
+    0 the rows are exact zeros, even where u is not finite."""
     v = _P[:, None] * (u[1:] - u[:-1])
     v += u[:-1]
     buf = np.empty((7, v.shape[1]))
@@ -200,7 +201,7 @@ def cubic_terms(u: np.ndarray, h) -> np.ndarray:
     if isinstance(h, np.ndarray):
         out = np.zeros((5, h.size))
         return np.multiply(_CUBIC_WEIGHTS @ buf, h, out=out, where=h != 0.0)
-    return (h * _CUBIC_WEIGHTS) @ buf
+    return (_CUBIC_WEIGHTS @ buf) * h
 
 
 def l2_norm(u: FeFunction) -> float:

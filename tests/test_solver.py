@@ -554,30 +554,58 @@ def halving_configs(sizes):
 @pytest.mark.parametrize("include_phi", [True, False])
 def test_lockstep_meshes_match_their_own_runs(include_phi):
     # meshes 2, 8 and 16 in one stack: each makes the Newton iterations of
-    # its own run at every step and ends where its own run ends
+    # its own run at every step and takes its own run's states, bit for bit
     configs = [replace(c, include_phi=include_phi) for c in halving_configs((2, 8, 16))]
     spec = NoiseSpec(2.0, 15, 131e-3, 131)
     path = sample_path(spec, 41)
     tracks = [project_increments(path, c.mesh) for c in configs]
     stack = run_path(configs, "b", tracks)
     assert not hasattr(stack, "config")
-    terminals = stack.split(stack.terminal)
     for k, (config, track) in enumerate(zip(configs, tracks)):
         alone = run_path(config, "b", track)
         mine = stack.reports[k :: len(configs)]
         assert [r.newton_iters for r in mine] == [r.newton_iters for r in alone.reports]
-        scale = np.max(np.abs(alone.terminal))
-        assert np.max(np.abs(terminals[k] - alone.terminal)) <= 1e-12 * scale
+        assert np.array_equal(stack.states_array()[:, stack.workspace.nodes[k]],
+                              alone.states_array())
     if include_phi:  # mesh 8 is the table_digest path, whose line search halves
         iters = [r.newton_iters for r in stack.reports[1::3]]
         assert sum(iters) == 1013 and max(iters) == 11
 
 
 @pytest.mark.parametrize("include_phi", [True, False])
+@pytest.mark.parametrize("name", ["spatial", "copies"])
+def test_a_stack_is_bit_identical_to_its_members_own_runs(name, include_phi):
+    # meshes that are not powers of two: the spatial workload's five with
+    # one sample's tracks, or four copies of mesh 20 with one sample each at
+    # the criterion 6 row's settings; past one BLOCK, so that the far
+    # product sums more than one state.  Each member has its own run's
+    # states, W and Newton reports (residual traces included) bit for bit
+    steps = BLOCK + 6
+    if name == "spatial":
+        sizes, paths = (640, 20, 40, 80, 160), [0] * 5
+        settings = dict(alpha=0.5, gamma=0.6, epsilon=1.0, tau=0.01 / 256)
+    else:
+        sizes, paths = (20,) * 4, range(4)
+        settings = dict(alpha=0.75, gamma=0.8, epsilon=0.1, tau=1.25e-4)
+    configs = [SchemeConfig(mesh=UniformMesh1D(size), num_steps=steps,
+                            include_phi=include_phi, **settings) for size in sizes]
+    spec = NoiseSpec(1.0, 19, settings["tau"] * steps, steps)
+    tracks = [project_increments(sample_path(spec, path_stream(2026, 5, k)), c.mesh)
+              for k, c in zip(paths, configs)]
+    stack = run_path(configs, "b", tracks)
+    for k, (config, track) in enumerate(zip(configs, tracks)):
+        alone = run_path(config, "b", track)
+        nodes = stack.workspace.nodes[k]
+        assert np.array_equal(stack.states_array()[:, nodes], alone.states_array())
+        assert np.array_equal(stack.w[nodes], alone.w)
+        assert stack.reports[k :: len(configs)] == alone.reports
+
+
+@pytest.mark.parametrize("include_phi", [True, False])
 def test_cubic_rows_are_zero_where_phi_must_not_act(include_phi):
     # h is 0 on the pseudo-elements joining two stacked meshes, and
     # everywhere without phi, so the kernel's rows are exact zeros there;
-    # elsewhere they are each mesh's own rows
+    # elsewhere they are each mesh's own rows, bit for bit
     configs = [replace(c, include_phi=include_phi) for c in halving_configs((2, 3, 8))]
     ws = solver._Workspace(configs)
     u = np.random.default_rng(3).uniform(-2.0, 2.0, int(ws.bounds[-1]))
@@ -589,8 +617,7 @@ def test_cubic_rows_are_zero_where_phi_must_not_act(include_phi):
     assert np.all(rows[:, ws.bounds[1:-1] - 1] == 0.0)
     for config, nodes in zip(configs, ws.nodes):
         own = solver.cubic_terms(u[nodes], config.mesh.h)
-        mine = rows[:, nodes.start : nodes.stop - 1]
-        assert np.max(np.abs(mine - own)) <= 1e-14 * np.max(np.abs(own))
+        assert np.array_equal(rows[:, nodes.start : nodes.stop - 1], own)
 
 
 @pytest.mark.parametrize("include_phi", [True, False])
@@ -633,9 +660,8 @@ def test_first_stacked_newton_matrix_is_block_diagonal(monkeypatch):
         stop = start + block.shape[0]
         expected[start:stop, start:stop] = block
         start = stop
-    # zero outside the blocks; inside, only the kernel's per-element h moves bits
-    assert np.array_equal(captured[0] == 0.0, expected == 0.0)
-    assert np.max(np.abs(captured[0] - expected)) <= 1e-14 * np.max(np.abs(expected))
+    # zero outside the blocks and each mesh's own matrix, bit for bit, inside
+    assert np.array_equal(captured[0], expected)
 
 
 def test_lockstep_failure_names_the_first_step_then_the_first_mesh():

@@ -1,4 +1,4 @@
-"""Time a one-mesh path and a spatial sample on two checkouts.
+"""Time a one-mesh path, a spatial sample and a sample stack on two checkouts.
 
 Usage, from the root of a checkout::
 
@@ -12,13 +12,18 @@ fracch from its side's ``src/`` and times R runs of
 * ``run_path`` on a temporal_rough-sized path: mesh 256, 1280 steps,
   alpha 0.75, gamma 0.8, eps 0.1, case "b" and the m = 1 track of
   sample 0 (a fixed seed), built before the clock starts;
-* ``harness._sample(plan, 0)`` on the spatial plan,
+* ``harness._sample(plan, 0)`` on the spatial plan;
+* ``run_path`` on STACK copies of the first job's config, cut to its
+  first STACK_STEPS steps, with the tracks of samples 0 to STACK - 1, in
+  lockstep; its time is reported per sample (the run's time over STACK),
 
-both plans read from ``perfbench/run.py`` ``WORKLOADS`` of the checkout
+the plans read from ``perfbench/run.py`` ``WORKLOADS`` of the checkout
 this script sits in, so both sides run the same workload.  It prints
 each process's minima, then per workload the median of the minima of
 each side, the pairs in which CHANGE was faster, and the spread between
-the quartiles of PARENT's minima.
+the quartiles of PARENT's minima.  Each process also runs every member of
+the stack alone, once, and reports how many of the STACK members have
+their own run's states and Newton reports bit for bit.
 
 Run with the same checkout on both sides, it reads the noise floor: a
 difference between two checkouts means something only where it is
@@ -34,15 +39,20 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
-JOBS = ("path", "sample")
+JOBS = ("path", "sample", "stack")
+STACK, STACK_STEPS = 16, 320
 THREADS = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def child(src: str, runs: int) -> None:
-    """Time both workloads with fracch from ``src``; print their minima."""
+    """Time the jobs with fracch from ``src``; print their minima and the
+    number of stack members bit-identical to their own runs."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import WORKLOADS as PLANS
 
@@ -59,11 +69,16 @@ def child(src: str, runs: int) -> None:
                           epsilon=rough.resolved_epsilon, tau=rough.t_final / steps,
                           num_steps=steps)
     spec = NoiseSpec(rough.decay_exponent, rough.resolved_modes, rough.t_final, steps)
-    path = sample_path(spec, path_stream(rough.master_seed, rough.row_key, 0))
-    track = project_increments(path, mesh)
+    tracks = [
+        project_increments(sample_path(spec, path_stream(rough.master_seed, rough.row_key, k)),
+                           mesh)
+        for k in range(STACK)
+    ]
+    short = replace(config, num_steps=STACK_STEPS)
     jobs = {
-        "path": lambda: run_path(config, rough.case, track),
+        "path": lambda: run_path(config, rough.case, tracks[0]),
         "sample": lambda: harness._sample(spatial, 0),
+        "stack": lambda: run_path([short] * STACK, rough.case, tracks),
     }
     best = {}
     for name, job in jobs.items():
@@ -74,6 +89,16 @@ def child(src: str, runs: int) -> None:
             job()
             times.append(time.perf_counter() - start)
         best[name] = min(times)
+    best["stack"] /= STACK
+    stack = jobs["stack"]()
+    best["identical"] = 0
+    for k, track in enumerate(tracks):
+        alone = run_path(short, rough.case, track)
+        best["identical"] += bool(
+            np.array_equal(stack.states_array()[:, stack.workspace.nodes[k]],
+                           alone.states_array())
+            and stack.reports[k::STACK] == alone.reports
+        )
     print(json.dumps(best))
 
 
@@ -120,6 +145,9 @@ def main() -> None:
         print(f"{name}: median of minima {mid_p:.4f} -> {mid_c:.4f} s "
               f"({(mid_c / mid_p - 1) * 100:+.1f}%), change faster in {won} of "
               f"{args.pairs} pairs, parent quartile spread {q3 - q1:.4f} s")
+    print("stack members bit-identical to their own runs: " + ", ".join(
+        f"{side} {sorted({m['identical'] for m in minima[side]})} of {STACK}" for side in sides
+    ))
 
 
 if __name__ == "__main__":
