@@ -136,7 +136,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True, slots=True)
 class StepReport:
-    """Outcome of one Newton solve."""
+    """Outcome of one Newton solve.  ``residual_trace`` is the starting norm, then one
+    entry per iteration.  A trial under an older LU that raised the residual is undone
+    and repeats the entry before exactly.  A path's first iteration refactors, as does
+    each one after an entry that fell by less than THETA without converging."""
 
     step_index: int
     newton_iters: int
@@ -251,19 +254,21 @@ class SolutionHistory:
     """States U^0..U^n of one run, or of lockstep runs stacked mesh after
     mesh, plus the latest (U, W) and its evaluation, from which the next
     step starts, and the LU of the Newton matrix that the steps share.
-    Only a one-mesh history has ``config``."""
+    Only a one-mesh history has ``config``.  ``u0`` is a case tag of
+    :func:`initial_state`, taken on each mesh, or the stacked coefficients."""
 
-    def __init__(self, config, u0: np.ndarray):
+    def __init__(self, config, u0):
         self.configs = (config,) if isinstance(config, SchemeConfig) else tuple(config)
         if len(self.configs) == 1:
             self.config = self.configs[0]
         self.workspace = ws = _Workspace(self.configs)
-        first = self.configs[0]
         nodes = int(ws.bounds[-1])
+        if isinstance(u0, str):
+            u0 = np.concatenate([initial_state(u0, c.mesh).coeffs for c in self.configs])
         u0 = np.asarray(u0, dtype=float)
         if u0.shape != (nodes,):
             raise ValueError(f"u0 has shape {u0.shape}, expected ({nodes},)")
-        self._states = np.zeros((first.num_steps + 1, nodes))
+        self._states = np.zeros((self.configs[0].num_steps + 1, nodes))
         self._states[0] = u0
         self.size = 1
         # one cubic evaluation at u0 gives W^0 and the carried evaluation
@@ -271,7 +276,7 @@ class SolutionHistory:
         f0 = np.append(rows[0], 0.0) + np.append(0.0, rows[1])
         self._z = np.empty(2 * nodes)
         self._z[0::2] = u0
-        self._z[1::2] = ws.mass.solve(first.epsilon**2 * ws.stiff.matvec(u0) + f0)
+        self._z[1::2] = ws.mass.solve(self.configs[0].epsilon**2 * ws.stiff.matvec(u0) + f0)
         self._g, self._rows = _evaluate(ws, self._z, rows)
         # the LU that the steps share and the cubic rows of its Jacobian,
         # each mesh's from the iterate of its last refresh; the first step
@@ -309,29 +314,15 @@ class SolutionHistory:
         return [v[s] for s in self.workspace.nodes]
 
 
-def initial_state(u0_spec, mesh: UniformMesh1D) -> FeFunction:
-    """Initial datum by case tag or explicit coefficient vector.
-
-    Case "a" is the zero function; case "b" is the L2 projection of
-    0.05 cos(2 pi x).  An array is taken verbatim as FE coefficients.
-    """
-    if isinstance(u0_spec, FeFunction):
-        return u0_spec
-    if isinstance(u0_spec, str):
-        if u0_spec == "a":
-            return FeFunction(mesh, np.zeros(mesh.num_nodes))
-        if u0_spec == "b":
-            # 0.05 cos(2 pi x) = (0.05 / sqrt(2)) * sqrt(2) cos(2 pi x)
-            base = l2_project_cosine(mesh, 2)
-            return FeFunction(mesh, 0.05 / np.sqrt(2.0) * base.coeffs)
-        raise ValueError(f"unknown initial datum case {u0_spec!r}")
-    coeffs = np.asarray(u0_spec, dtype=float)
-    if coeffs.shape != (mesh.num_nodes,):
-        raise ValueError(
-            f"coefficient vector has shape {coeffs.shape}, "
-            f"expected ({mesh.num_nodes},)"
-        )
-    return FeFunction(mesh, coeffs)
+def initial_state(case: str, mesh: UniformMesh1D) -> FeFunction:
+    """The initial datum of case "a", the zero function, or of case "b",
+    the L2 projection of 0.05 cos(2 pi x)."""
+    if not (isinstance(case, str) and case in ("a", "b")):
+        raise ValueError(f"unknown initial datum case {case!r}")
+    if case == "a":
+        return FeFunction(mesh, np.zeros(mesh.num_nodes))
+    # 0.05 cos(2 pi x) = (0.05 / sqrt(2)) * sqrt(2) cos(2 pi x)
+    return FeFunction(mesh, 0.05 / np.sqrt(2.0) * l2_project_cosine(mesh, 2).coeffs)
 
 
 def _norms(v: np.ndarray, parts) -> list:
@@ -448,7 +439,8 @@ def step(hist: SolutionHistory, known) -> list:
 
 @one_blas_thread()
 def run_path(config, u0_spec, track=None) -> SolutionHistory:
-    """Run all num_steps steps; the noise track may be omitted for
+    """Run all num_steps steps from ``u0_spec``, a case tag or the stacked
+    coefficients (see SolutionHistory); the noise track may be omitted for
     deterministic runs.  Configs that differ in the mesh alone, with one
     track each on its mesh, run in lockstep, stacked mesh after mesh, each
     mesh's states and residual traces bit for bit those of its own run.
@@ -460,9 +452,9 @@ def run_path(config, u0_spec, track=None) -> SolutionHistory:
     ||U^0||), each naming the failing mesh's place.  BLAS runs on one
     thread throughout, so the sums keep one order whatever the settings.
     """
-    configs = (config,) if isinstance(config, SchemeConfig) else tuple(config)
+    hist = SolutionHistory(config, u0_spec)
+    configs, config = hist.configs, hist.configs[0]
     tracks = [track] if track is None or isinstance(track, ProjectedNoiseTrack) else track
-    config = configs[0]
     if track is not None:
         if len(tracks) != len(configs):
             raise ValueError(f"{len(tracks)} tracks for {len(configs)} meshes")
@@ -475,8 +467,8 @@ def run_path(config, u0_spec, track=None) -> SolutionHistory:
                     f"of {config.num_steps} steps of {config.tau}"
                 )
         gamma_weights = cq_weights(-config.gamma, config.num_steps)
-    u0 = [initial_state(u0_spec, c.mesh) for c in configs]
-    hist = SolutionHistory(configs, np.concatenate([u.coeffs for u in u0]))
+    # only run_path's known terms conserve mass, so only it bounds the drift
+    u0 = [FeFunction(c.mesh, u) for c, u in zip(configs, hist.split(hist.u0))]
     hist.mass_tol = [1e-10 * (1.0 + l2_norm(u)) for u in u0]
     ws, states = hist.workspace, hist._states
     a = ws.alpha_weights.weights

@@ -172,15 +172,9 @@ def dense_stiffness(mesh: UniformMesh1D) -> np.ndarray:
     return out
 
 
-def ml_series_highprec(alpha: float, beta: float, z: float) -> float:
-    """Mittag-Leffler series in mpmath with digits scaled to the peak term.
-
-    The alternating series cancels catastrophically for large |z|, so the
-    working precision is raised to cover the largest intermediate term
-    plus 40 guard digits.  Usable down to moderately negative z; cost
-    grows quickly with |z|^(1/alpha), so callers restrict the depth.
-    """
-    import mpmath as mp
+def series_digits(alpha: float, beta: float, z: float) -> int:
+    """Digits the Mittag-Leffler series needs at z: those of its largest
+    term, which it cancels, plus 40 guard digits."""
     from scipy.special import gammaln
 
     absz = abs(z)
@@ -191,7 +185,20 @@ def ml_series_highprec(alpha: float, beta: float, z: float) -> float:
             peak = max(
                 peak, k * np.log10(absz) - gammaln(alpha * k + beta) / np.log(10.0)
             )
-    dps = int(peak) + 40
+    return int(peak) + 40
+
+
+def ml_series_highprec(alpha: float, beta: float, z: float) -> float:
+    """Mittag-Leffler series in mpmath with digits scaled to the peak term.
+
+    The alternating series cancels catastrophically for large |z|, so the
+    working precision is raised to cover the largest intermediate term
+    plus 40 guard digits.  Usable down to moderately negative z; cost
+    grows quickly with |z|^(1/alpha), so callers restrict the depth.
+    """
+    import mpmath as mp
+
+    dps = series_digits(alpha, beta, z)
     with mp.workdps(dps):
         a, b, zz = mp.mpf(alpha), mp.mpf(beta), mp.mpf(z)
         total = mp.mpf(0)
@@ -204,6 +211,15 @@ def ml_series_highprec(alpha: float, beta: float, z: float) -> float:
                 total += term
                 break
         return float(total)
+
+
+def ml_highprec(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z), z < 0, by the series where it needs at most 100
+    digits and by the branch-cut integral where it would need more, and
+    would take seconds (small alpha, |z| of a few units)."""
+    if series_digits(alpha, beta, z) <= 100:
+        return ml_series_highprec(alpha, beta, z)
+    return ml_branch_cut_highprec(alpha, beta, z)
 
 
 def ml_asymptotic(alpha: float, beta: float, z: float, k_max: int = 60) -> float:
@@ -231,19 +247,25 @@ def ml_asymptotic(alpha: float, beta: float, z: float, k_max: int = 60) -> float
 
 
 def ml_branch_cut_highprec(alpha: float, beta: float, z: float, dps: int = 30) -> float:
-    """The branch-cut integral of E_{alpha,beta}(z), z < 0, beta < 1 + alpha,
-    by mpmath quadrature at ``dps`` digits.
+    """The branch-cut integral of E_{alpha,beta}(z), z < 0, by mpmath
+    quadrature at ``dps`` digits.
 
     Same integrand as the package's, different quadrature and arithmetic.
     It is cheap where the series would need thousands of digits (small
     alpha, moderate |z|); the interval is split where the denominator
     dips (u = x and u = -x cos(pi alpha)) and where exp(-u^(1/alpha))
-    turns over (u = 1).
+    turns over (u = 1).  The integral holds for beta < 1 + alpha; a
+    larger beta is first lowered, in mpmath, by E_{alpha,beta}(z) =
+    (E_{alpha,beta-alpha}(z) - 1/Gamma(beta - alpha)) / z.
     """
     import mpmath as mp
 
     with mp.workdps(dps):
-        a, b, x = mp.mpf(alpha), mp.mpf(beta), -mp.mpf(z)
+        a, x = mp.mpf(alpha), -mp.mpf(z)
+        betas = [mp.mpf(beta)]
+        while betas[-1] >= 1 + a:
+            betas.append(betas[-1] - a)
+        b = betas.pop()
         sb, sba, ca = mp.sinpi(b), mp.sinpi(b - a), mp.cospi(a)
 
         def f(u):
@@ -252,7 +274,10 @@ def ml_branch_cut_highprec(alpha: float, beta: float, z: float, dps: int = 30) -
             return mp.exp(-(u ** (1 / a))) * u ** ((1 - b) / a) * num / den
 
         cuts = sorted({p for p in (x, -x * ca, mp.mpf(1)) if p > 0})
-        return float(mp.quad(f, [0, *cuts, mp.inf]) / (a * mp.pi))
+        value = mp.quad(f, [0, *cuts, mp.inf]) / (a * mp.pi)
+        for c in reversed(betas):
+            value = (value - mp.rgamma(c - a)) / -x
+        return float(value)
 
 
 def case_b_modal_solution(alpha, epsilon, t, x, num_modes) -> np.ndarray:

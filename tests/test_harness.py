@@ -117,6 +117,8 @@ def test_validate_config_structure_errors():
     for plan, text in (
         (ExperimentPlan(resolutions=(4, 8), reference=16, mesh_size=8, num_modes=0),
          "num_modes must be >= 1"),
+        (ExperimentPlan(resolutions=(0, 4), reference=16, mesh_size=8),
+         "temporal resolution must be >= 1"),
         (ExperimentPlan(study="spatial", resolutions=(4, 8), reference=16, num_steps=0),
          "num_steps must be >= 1"),
         (ExperimentPlan(study="spatial", resolutions=(1, 8), reference=16, num_steps=4),

@@ -14,6 +14,7 @@ from oracles import (
     case_b_modal_solution,
     ml_asymptotic,
     ml_branch_cut_highprec,
+    ml_highprec,
     ml_series_highprec,
 )
 
@@ -83,12 +84,17 @@ def test_matches_highprec_series():
         0.9: np.linspace(-8.0, -0.1, 8),
         1.0: np.linspace(-30.0, -1.0, 8),
     }
+    # the reference takes the branch-cut integral where the series would
+    # need over 100 digits (alpha 0.25, z <= -3.6); where both are cheap,
+    # they agree, also after the integral lowers beta = 1.8 below 1 + alpha
+    cheap = (0.25, 1.8, -2.9)
+    assert abs(ml_branch_cut_highprec(*cheap) - ml_series_highprec(*cheap)) <= 1e-15
     for alpha, zs in cases.items():
         # alpha = 1 below the switch point only supports beta = 1 or the
         # reducible beta >= 2
         for beta in (1.0, 2.0) if alpha == 1.0 else (1.0, 1.8):
             for z in zs:
-                ref = ml_series_highprec(alpha, beta, float(z))
+                ref = ml_highprec(alpha, beta, float(z))
                 ours = mittag_leffler(alpha, beta, float(z))
                 assert abs(ours - ref) <= 1e-10
 

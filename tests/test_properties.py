@@ -116,5 +116,6 @@ def test_simplified_newton_meets_its_tolerance_and_the_exact_newton_oracle(
     terminals = hist.split(hist.terminal)
     for k, (config, track) in enumerate(zip(configs, tracks)):
         assert all(r.final_residual <= tol for r in hist.reports[k :: len(configs)])
-        states, budget = exact_newton_path(config, initial_state(datum, config.mesh).coeffs, track)
+        u0 = initial_state(datum, config.mesh).coeffs if isinstance(datum, str) else datum
+        states, budget = exact_newton_path(config, u0, track)
         assert np.max(np.abs(terminals[k] - states[-1])) <= tol * budget.sum()

@@ -103,15 +103,17 @@ def test_initial_state_cases():
     mass = assemble_mass(mesh)
     assert abs(np.ones(65) @ mass.matvec(b.coeffs)) <= 1e-12
 
-    fe = FeFunction(mesh, np.linspace(0, 1, 65))
-    assert initial_state(fe, mesh) is fe
-    arr = np.linspace(-1, 1, 65)
-    assert np.array_equal(initial_state(arr, mesh).coeffs, arr)
+    # the history takes a tag on each mesh or the stacked coefficients verbatim
+    configs = [SchemeConfig(mesh=UniformMesh1D(size), alpha=0.5, gamma=0.0, epsilon=1.0,
+                            tau=0.01, num_steps=1) for size in (8, 64)]
+    hist = SolutionHistory(configs, "b")
+    assert np.array_equal(hist.split(hist.u0)[1], b.coeffs)
+    arr = np.linspace(-1, 1, 74)
+    assert np.array_equal(SolutionHistory(configs, arr).u0, arr)
 
-    with pytest.raises(ValueError):
-        initial_state("c", mesh)
-    with pytest.raises(ValueError):
-        initial_state(np.zeros(7), mesh)
+    for case in ("c", "", "ab", np.zeros(65), FeFunction(mesh, np.zeros(65))):
+        with pytest.raises(ValueError, match="unknown initial datum case"):
+            initial_state(case, mesh)
 
 
 def test_history_rhs_lag_term():

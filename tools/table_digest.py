@@ -26,9 +26,10 @@ must not move any number leaves them byte-identical.  The document holds
   (mesh 8, tau 1e-3, alpha 0.3, gamma 0, eps 0.5, 131 steps, noise seed
   41, case "b") on which the line search halves the Newton step, which
   none of the workloads does, with that path's total and largest
-  per-step Newton iteration counts and its numbers of solves and
-  factorizations.  A change that must move the residual traces (and so
-  the digest) can still show that the Newton work did not change;
+  per-step Newton iteration counts, its numbers of solves and
+  factorizations, each mesh's mass drift bound and the largest drift.
+  A change that must move the residual traces (and so the digest) can
+  still show that the Newton work did not change;
 * the same digest and counts for the same path without phi on meshes 2,
   8 and 16 stacked in lockstep, where the cubic must act neither on the
   pseudo-elements joining two meshes nor anywhere else.
@@ -120,7 +121,8 @@ def newton_iters_of_study(doc: dict) -> tuple:
 
 def path_digest(name: str, sizes, include_phi: bool) -> dict:
     """SHA-256 of the states and residual traces of the halving path's
-    settings on the meshes ``sizes`` in lockstep, and its Newton totals."""
+    settings on the meshes ``sizes`` in lockstep, its Newton totals, each
+    mesh's mass drift bound and the largest drift."""
     tau, steps = 1e-3, 131
     spec = NoiseSpec(2.0, 15, tau * steps, steps)
     path = sample_path(spec, 41)
@@ -141,6 +143,8 @@ def path_digest(name: str, sizes, include_phi: bool) -> dict:
         f"{name}_max_newton_iters": max(iters),
         f"{name}_lockstep_iters": solves,
         f"{name}_factorizations": factorizations,
+        f"{name}_mass_tol": [float(bound) for bound in hist.mass_tol],
+        f"{name}_max_mass_drift": float(hist.max_mass_drift),
     }
 
 
