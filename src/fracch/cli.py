@@ -137,14 +137,8 @@ def _cmd_simulate(args) -> int:
     if args.dump_noise and args.no_noise:
         raise ValueError("--dump-noise needs noise (drop --no-noise)")
     mesh = UniformMesh1D(args.mesh)
-    config = SchemeConfig(
-        mesh=mesh,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        tau=args.t_final / args.steps,
-        num_steps=args.steps,
-    )
+    config = SchemeConfig(mesh=mesh, alpha=args.alpha, gamma=args.gamma, epsilon=args.epsilon,
+                          tau=args.t_final / args.steps, num_steps=args.steps)
     track = None
     path = None
     if not args.no_noise:

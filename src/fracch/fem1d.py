@@ -10,7 +10,8 @@ matrix here is symmetric tridiagonal.
 The nonlinearity used throughout is the double-well derivative
 ``phi(u) = u**3 - u``; its load vector and Jacobian are integrated with a
 3-point Gauss rule, which is exact for these polynomial integrands.
-:func:`cubic_terms` gives both from one product.  It lays u's Gauss
+:func:`cubic_terms` gives the load from one product and
+:func:`cubic_jacobian` the Jacobian from another.  They lay u's Gauss
 values out (points, elements): numpy's elementwise loops then run over
 the few hundred elements rather than over three points.
 """
@@ -170,38 +171,50 @@ def cosine_projection_basis(mesh: UniformMesh1D, count: int) -> np.ndarray:
     return basis
 
 
-# The one rule the cubic terms use, built once; _CUBIC_WEIGHTS maps the
-# rows v^3 - v, v^2 (at the three points) and 1 of cubic_terms to each
-# element's loads and Jacobian entries, the 1 carrying -int chi_i chi_j.
+# The one rule the cubic terms use, built once.  _LOAD_WEIGHTS maps the
+# rows v^3 - v (at the three points) to each element's two loads, and
+# _JACOBIAN_WEIGHTS the rows v^2 and 1 to its LL, RR and LR Jacobian
+# entries, the 1 carrying -int chi_i chi_j.
 GAUSS3 = GaussRule.three_point()
 _P, _W = GAUSS3.points, GAUSS3.weights
 _Q = 1.0 - _P
-_CUBIC_WEIGHTS = np.zeros((5, 7))
-_CUBIC_WEIGHTS[:2, :3] = [_W * _Q, _W * _P]
-_CUBIC_WEIGHTS[2:, 3:6] = [3.0 * _W * _Q**2, 3.0 * _W * _P**2, 3.0 * _W * _P * _Q]
-_CUBIC_WEIGHTS[2:, 6] = [-_W @ _Q**2, -_W @ _P**2, -_W @ (_P * _Q)]
+_LOAD_WEIGHTS = np.array([_W * _Q, _W * _P])
+_JACOBIAN_WEIGHTS = np.zeros((3, 4))
+_JACOBIAN_WEIGHTS[:, :3] = [3.0 * _W * _Q**2, 3.0 * _W * _P**2, 3.0 * _W * _P * _Q]
+_JACOBIAN_WEIGHTS[:, 3] = [-_W @ _Q**2, -_W @ _P**2, -_W @ (_P * _Q)]
+
+
+def _cubic_rows(u: np.ndarray, h, jacobian: bool) -> np.ndarray:
+    """The load rows of phi(u) per element, or its Jacobian rows.  ``h`` is the
+    element size, or one size per element, applied after the product, so an
+    element's rows have the same bits either way; where h is 0 the rows are
+    exact zeros, even where u is not finite."""
+    v = _P[:, None] * (u[1:] - u[:-1])
+    v += u[:-1]
+    buf = np.empty((3 + jacobian, v.shape[1]))
+    np.multiply(v, v, out=buf[:3])
+    if jacobian:
+        buf[3] = 1.0
+    else:
+        buf *= v
+        buf -= v
+    rows = (_JACOBIAN_WEIGHTS if jacobian else _LOAD_WEIGHTS) @ buf
+    if isinstance(h, np.ndarray):
+        return np.multiply(rows, h, out=np.zeros(rows.shape), where=h != 0.0)
+    return rows * h
 
 
 def cubic_terms(u: np.ndarray, h) -> np.ndarray:
-    """Rows (left load, right load, LL, RR, LR) of phi(u) per element,
-    shaped (5, elements): the load vector adds rows 0 and 1 at the nodes
-    u[:-1] and u[1:], the Jacobian's diagonal rows 2 and 3, and row 4 is
-    its off-diagonal.  u's Gauss values are laid out (points, elements),
-    so each elementwise loop runs over the elements, not three points.
-    ``h`` is the element size, or one size per element, applied after the
-    product, so an element's rows have the same bits either way; where h is
-    0 the rows are exact zeros, even where u is not finite."""
-    v = _P[:, None] * (u[1:] - u[:-1])
-    v += u[:-1]
-    buf = np.empty((7, v.shape[1]))
-    np.multiply(v, v, out=buf[3:6])
-    np.multiply(buf[3:6], v, out=buf[0:3])
-    buf[0:3] -= v
-    buf[6] = 1.0
-    if isinstance(h, np.ndarray):
-        out = np.zeros((5, h.size))
-        return np.multiply(_CUBIC_WEIGHTS @ buf, h, out=out, where=h != 0.0)
-    return (_CUBIC_WEIGHTS @ buf) * h
+    """Rows (left load, right load) of phi(u) per element, shaped (2,
+    elements): the load vector adds them at the nodes u[:-1] and u[1:]."""
+    return _cubic_rows(u, h, jacobian=False)
+
+
+def cubic_jacobian(u: np.ndarray, h) -> np.ndarray:
+    """Rows (LL, RR, LR) of phi'(u) per element, shaped (3, elements): the
+    Jacobian's diagonal adds rows 0 and 1 at the nodes u[:-1] and u[1:],
+    and row 2 is its off-diagonal."""
+    return _cubic_rows(u, h, jacobian=True)
 
 
 def l2_norm(u: FeFunction) -> float:

@@ -3,13 +3,16 @@
 A study runs the solver over many independent noise paths at several
 resolutions against a common-path reference solution, aggregates the
 terminal errors in the root-mean-square sense over samples, and fits
-convergence rates.  One driver serves both refinement axes: temporal
-sweeps coarsen one fine increment matrix on a fixed mesh, so every
-resolution sees the same Brownian path; spatial sweeps share the
-mode-space increments across nested meshes at a fixed step, all meshes
-of a sample in one lockstep run.  Terminal states are compared after
-nodal injection into the reference mesh, which on the temporal axis is
-the same mesh and leaves them unchanged.
+convergence rates.  One driver serves both refinement axes and runs
+BATCH consecutive samples in lockstep: temporal sweeps coarsen one fine
+increment matrix on a fixed mesh, so every resolution sees the same
+Brownian path, and run each resolution's samples as one stack; spatial
+sweeps share the mode-space increments across nested meshes at a fixed
+step, every mesh of every sample of the batch in one stack, sample after
+sample, so the stack repeats one period and shares one LU.  A failing
+stack is run again one sample at a time.  Terminal states are compared
+after nodal injection into the reference mesh, which on the temporal
+axis is the same mesh and leaves them unchanged.
 
 Theoretical exponents follow the strong error analysis of the scheme:
 for noise regularity beta the spatial order is min(2, beta) - r and the
@@ -30,7 +33,6 @@ import json
 import math
 import numbers
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -356,72 +358,83 @@ def pairwise_rates(resolutions, errors) -> tuple:
     return tuple(out)
 
 
-@one_blas_thread()
-def _sample(plan: ExperimentPlan, index: int):
-    """Terminal errors of one sample at each resolution against its own
-    reference solve, or None if the path failed under policy "drop".
+# Consecutive samples run as one lockstep stack: eight get almost all of
+# sixteen's gain per sample for half the memory.
+BATCH = 8
 
-    The path is drawn once on the fine grid of the study: the reference
-    step count on the temporal axis, the fixed step count on the spatial
-    axis.  Temporal resolutions coarsen it; spatial ones reuse it on
-    coarser meshes, all in one lockstep run.  BLAS runs on one thread
-    throughout, in every worker process, so the table does not depend on
-    the thread settings.
-    """
+
+@one_blas_thread()
+def _batch(plan: ExperimentPlan, indices) -> list:
+    """Terminal errors of each sample of ``indices`` at each resolution
+    against its own reference solve, or None if its path failed under
+    policy "drop".  Each path is drawn on the study's fine grid and
+    projected before the next sample's; each member of a stack has its own
+    run's bits, so a row does not depend on its batch.  BLAS runs on one
+    thread throughout, in every worker."""
     spatial = plan.study == "spatial"
     steps = plan.num_steps if spatial else plan.reference
     spec = NoiseSpec(plan.decay_exponent, plan.resolved_modes, plan.t_final, steps)
-    path = sample_path(spec, path_stream(plan.master_seed, plan.row_key, index))
     axis = "mesh" if spatial else "steps"
     sizes = [plan.reference, *plan.resolutions]
     labels = [f"reference {axis} {plan.reference}"] + [f"{axis} {r}" for r in plan.resolutions]
 
-    def solve(first, meshes, noise):
-        """(mesh, terminal state) of lockstep runs, labelled from labels[first]."""
-        configs = [
-            SchemeConfig(
-                mesh=UniformMesh1D(size), alpha=plan.alpha, gamma=plan.gamma,
-                epsilon=plan.resolved_epsilon, tau=plan.t_final / noise.num_steps,
-                num_steps=noise.num_steps, newton_tol=plan.newton_tol,
-                newton_max=plan.newton_max,
-            )
-            for size in meshes
-        ]
-        tracks = [project_increments(noise, c.mesh) for c in configs]
-        try:
-            hist = run_path(configs, plan.case, tracks)
-        except PathFailure as exc:
-            raise exc.in_context(f"sample {index}, {labels[first + exc.mesh]}") from exc
-        return [(c.mesh, u.copy()) for c, u in zip(configs, hist.split(hist.terminal))]
+    def config(size, n):  # on mesh ``size``, n steps to t_final
+        return SchemeConfig(UniformMesh1D(size), plan.alpha, plan.gamma, plan.resolved_epsilon,
+                            plan.t_final / n, n, plan.newton_tol, plan.newton_max)
 
-    try:
-        if spatial:
-            runs = solve(0, sizes, path)
-        else:
-            runs = [
-                solve(k, [plan.mesh_size], coarsen(path, plan.reference // n))[0]
-                for k, n in enumerate(sizes)
-            ]
-        (mesh_ref, ref), *coarse = runs
-        injected = [np.interp(mesh_ref.nodes(), m.nodes(), term) for m, term in coarse]
-        return np.array([l2_norm(FeFunction(mesh_ref, u - ref)) for u in injected])
-    except PathFailure:
-        if plan.policy == "drop":
-            return None
-        raise
+    # one sample's configs per run_path: all meshes, or one resolution each
+    runs = [[config(size, steps) for size in sizes]] if spatial else [
+        [config(plan.mesh_size, n)] for n in sizes
+    ]
+
+    def project(path, run):  # the path's tracks on one run's meshes
+        noise = coarsen(path, steps // run[0].num_steps)
+        return [project_increments(noise, c.mesh) for c in run]
+
+    # each sample is drawn and projected before the next; a batch of one
+    # projects each run's tracks as it starts, so it holds one run's at a time
+    one, drawn = len(indices) == 1, []
+    for index in indices:
+        path = sample_path(spec, path_stream(plan.master_seed, plan.row_key, index))
+        drawn.append(path if one else [project(path, run) for run in runs])
+    terminals = []
+    for k, run in enumerate(runs):
+        mine = project(drawn[0], run) if one else [t for d in drawn for t in d[k]]
+        try:
+            terminal = run_path(run * len(indices), plan.case, mine).terminal
+        except PathFailure as exc:
+            if len(indices) > 1:
+                return [row for index in indices for row in _batch(plan, [index])]
+            if plan.policy == "drop":
+                return [None]
+            label = labels[k * len(run) + exc.mesh]  # one run of all meshes, or one per size
+            raise exc.in_context(f"sample {indices[0]}, {label}") from exc
+        terminals.append(terminal.reshape(len(indices), -1).copy())
+    mesh_ref, *meshes = [c.mesh for run in runs for c in run]
+    cuts = np.cumsum([m.num_nodes for m in (mesh_ref, *meshes)])[:-1]
+    rows = []
+    for own in np.hstack(terminals):  # a sample's terminal states, mesh after mesh
+        ref, *coarse = np.split(own, cuts)
+        injected = [np.interp(mesh_ref.nodes(), m.nodes(), u) for m, u in zip(meshes, coarse)]
+        rows.append(np.array([l2_norm(FeFunction(mesh_ref, u - ref)) for u in injected]))
+    return rows
 
 
 def _collect(plan: ExperimentPlan) -> tuple:
     """Error rows of the kept samples and the indices of the dropped ones.
 
-    Results arrive in index order for any worker count, so under policy
-    "abort" the lowest failing index is the one reported.
+    The samples run in batches of BATCH consecutive indices, which workers
+    take whole.  Results arrive in index order for any worker count, so
+    under policy "abort" the lowest failing index is the one reported.
     """
+    batches = [range(s, min(s + BATCH, plan.samples)) for s in range(0, plan.samples, BATCH)]
     if plan.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            results = list(pool.map(partial(_sample, plan), range(plan.samples)))
+            results = sum(pool.map(partial(_batch, plan), batches), [])
     else:
-        results = [_sample(plan, s) for s in range(plan.samples)]
+        results = sum((_batch(plan, batch) for batch in batches), [])
     kept = [r for r in results if r is not None]
     dropped = tuple(s for s, r in enumerate(results) if r is None)
     if not kept:
@@ -430,15 +443,9 @@ def _collect(plan: ExperimentPlan) -> tuple:
 
 
 def _table(resolutions, errors, theory: float, samples: int, dropped=()) -> ErrorTable:
-    return ErrorTable(
-        resolutions=tuple(resolutions),
-        errors=tuple(float(e) for e in errors),
-        pairwise_rates=pairwise_rates(resolutions, errors),
-        fitted_rate=fit_rate(resolutions, errors),
-        theoretical_rate=theory,
-        samples=samples,
-        dropped=dropped,
-    )
+    return ErrorTable(tuple(resolutions), tuple(float(e) for e in errors),
+                      pairwise_rates(resolutions, errors), fit_rate(resolutions, errors),
+                      theory, samples, dropped)
 
 
 def run_study(plan: ExperimentPlan) -> ErrorTable:
@@ -497,16 +504,8 @@ def linear_oracle_table(
     exact_nodes = case_b_linear_solution(alpha, epsilon, t_final, mesh.nodes())
     errs = []
     for n in resolutions:
-        config = SchemeConfig(
-            mesh=mesh,
-            alpha=alpha,
-            gamma=0.0,
-            epsilon=epsilon,
-            tau=t_final / n,
-            num_steps=n,
-            include_phi=False,
-            newton_tol=1e-12,
-        )
+        config = SchemeConfig(mesh=mesh, alpha=alpha, gamma=0.0, epsilon=epsilon, tau=t_final / n,
+                              num_steps=n, include_phi=False, newton_tol=1e-12)
         term = run_path(config, "b").terminal
         errs.append(l2_norm(FeFunction(mesh, term - exact_nodes)))
     return _table(resolutions, np.array(errs), 1.0, 1)

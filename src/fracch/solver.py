@@ -40,31 +40,34 @@ for the steps that follow.  A residual that grows (or is not finite)
 under an older LU sends the mesh back to its iterate for that exact
 step; on an exact step the line search halves it once.
 
-Each evaluation of an iterate -- A z and the per-element cubic rows of
-``fem1d.cubic_terms``, which give its load and, where the LU is
-refreshed at it, its Jacobian -- is done once.  The rows are laid out
-(rows, elements), as the kernel lays out the Gauss values, so each row
-goes into the residual or the band with one strided operation over the
-elements.  They scale with h, which is 0 wherever phi must not act
-(everywhere without phi), and are exact zeros there even where u
-overflows.  The history keeps the evaluation of the last accepted
-iterate, and the next step starts from it: only M times the new known
-right-hand side changes.  So a path evaluates once at its start and once
-per Newton trial.
+Each evaluation of an iterate -- A z and its cubic load rows from
+``fem1d.cubic_terms`` -- is done once; the Jacobian rows of
+``fem1d.cubic_jacobian`` are taken only where the band is factored.  The
+rows are laid out (rows, elements), so each goes into the residual or the
+band with one strided operation.  They scale with h, which is 0 wherever
+phi must not act (everywhere without phi), and are exact zeros there even
+where u overflows.  The history keeps the evaluation of the last accepted
+iterate, from which the next step starts, so a path evaluates once at its
+start and once per Newton trial.
 
 Runs that differ in the mesh alone share the time grid, the weights and
 the noise path, so :func:`run_path` advances them in lockstep, stacked
 mesh after mesh, as one block-diagonal Newton system, and each mesh gets
-its own run's bits: the concatenated band storage is zero wherever it
-would couple two meshes, so ``gbtrf`` never pivots across blocks and adds
-exact zeros to the other blocks; the sparse form, which drops zeros, sums
-each row's own terms in their own order; the history products are taken
-per mesh; and the one cubic kernel call scales each element's rows by its
-own h after the product, h being 0 on the pseudo-elements joining two
-meshes.  A refresh replaces only the slow meshes' Jacobian rows, so the
-other meshes' factors stay bit-identical.  Norms, the line search,
+its own run's bits: the band storage is zero wherever it would couple two
+meshes, so ``gbtrf`` never pivots across blocks and adds exact zeros to
+the other blocks; the sparse form, which drops zeros, sums each row's own
+terms in their own order; the history products are taken per mesh; and
+the cubic kernels scale each element's rows by its own h after the
+product, h being 0 on the pseudo-elements joining two meshes.  A refresh
+replaces only the slow meshes' Jacobian rows.  Norms, the line search,
 refreshes and convergence are per mesh and a converged mesh takes no
-further update, so each mesh makes the iterations of its own solve.
+further update, so each mesh makes the iterations of its own solve.  A
+stack of copies of one period (the samples of a batch, each one mesh or
+one sample's meshes) starts from one u0, so its first band is the
+period's band repeated: that band alone is factored, which is each copy's
+own LU, and each iteration is one ``gbtrs`` with a column per copy, which
+gives each column the bits of its own solve.  A later refresh factors
+the whole band, and the path solves one column from then on.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ from fracch.fem1d import (
     UniformMesh1D,
     assemble_mass,
     assemble_stiffness,
+    cubic_jacobian,
     cubic_terms,
     l2_norm,
     l2_project_cosine,
@@ -208,6 +212,9 @@ class _Workspace:
         hs = [np.append(np.full(m.num_elements, m.h), 0.0) for m in meshes]
         one = len(meshes) == 1 and config.include_phi
         self.h = config.mesh.h if one else np.concatenate(hs)[:-1] * config.include_phi
+        # copies of the period, the shortest prefix the configs repeat
+        k = len(configs)
+        self.copies = max(c for c in range(1, k + 1) if configs == configs[: k // c] * c)
         def stack(assemble):  # one tridiagonal matrix, zero between meshes
             mats = [assemble(m) for m in meshes]
             off = np.concatenate([np.append(m.offdiag, 0.0) for m in mats])[:-1]
@@ -239,9 +246,9 @@ class _Workspace:
 
 
 def _evaluate(ws: _Workspace, z: np.ndarray, rows=None) -> tuple:
-    """A z minus the cubic load in the W rows, and u's cubic rows (computed
-    unless given; zero where ``ws.h`` is).  A step's residual is this minus
-    M known in the U rows."""
+    """A z minus the cubic load in the W rows, and u's cubic load rows
+    (computed unless given; zero where ``ws.h`` is).  A step's residual is
+    this minus M known in the U rows."""
     g = ws.op @ z
     if rows is None:
         rows = cubic_terms(z[0::2], ws.h)
@@ -277,11 +284,11 @@ class SolutionHistory:
         self._z = np.empty(2 * nodes)
         self._z[0::2] = u0
         self._z[1::2] = ws.mass.solve(self.configs[0].epsilon**2 * ws.stiff.matvec(u0) + f0)
-        self._g, self._rows = _evaluate(ws, self._z, rows)
-        # the LU that the steps share and the cubic rows of its Jacobian,
-        # each mesh's from the iterate of its last refresh; the first step
-        # factors it, at u0
-        self._jac = np.empty_like(rows)
+        self._g, _ = _evaluate(ws, self._z, rows)
+        # the LU that the steps share (of one copy of the period, or of the
+        # whole band) and the cubic rows of its Jacobian, each mesh's from the
+        # iterate of its last refresh; the first step factors it, at u0
+        self._jac = np.empty((3, nodes - 1))
         self._lu = self._piv = None
         self.reports: list[StepReport] = []  # each step's, mesh after mesh
         self.max_mass_drift = 0.0
@@ -358,7 +365,7 @@ def step(hist: SolutionHistory, known) -> list:
         return res, _norms(res, ws.unknowns)
 
     # the previous step (or the history's set-up) evaluated this iterate
-    z, g, rows = hist._z, hist._g, hist._rows
+    z, g = hist._z, hist._g
     res, norms = residual(g)
     traces = [[norm] for norm in norms]  # each mesh's last entry is its iterate's norm
     meshes = range(len(traces))
@@ -370,19 +377,28 @@ def step(hist: SolutionHistory, known) -> list:
         # their iteration is an exact Newton step; the others keep theirs
         exact = refresh
         if refresh:
+            rows = cubic_jacobian(z[0::2], ws.h)
             for mesh in refresh:
                 jac[:, ws.nodes[mesh]] = rows[:, ws.nodes[mesh]]
             # A minus the cubic Jacobian (W rows, U columns) from the LL, RR, LR rows
             ab = np.array(ws.ab_static, order="F")
-            ab[7, 0:-2:2] -= jac[2]
-            ab[7, 2::2] -= jac[3]
-            ab[5, 2::2] -= jac[4]
-            ab[9, 0:-2:2] -= jac[4]
+            ab[7, 0:-2:2] -= jac[0]
+            ab[7, 2::2] -= jac[1]
+            ab[5, 2::2] -= jac[2]
+            ab[9, 0:-2:2] -= jac[2]
+            # a path's first band, if it is identical copies of the period's,
+            # factors as one copy; that LU is each copy's own
+            blocks = ab.T.reshape(ws.copies, -1, ab.shape[0])
+            if hist._lu is None and np.array_equal(blocks[1:], blocks[:-1]):
+                ab = blocks[0].T
             hist._lu, hist._piv, info = _gbtrf(ab, _BANDS, _BANDS, overwrite_ab=True)
             if info > 0:
                 mesh = int(np.searchsorted(ws.bounds, (info - 1) // 2, side="right")) - 1
                 raise NewtonDivergence(n, traces[mesh], "singular Newton matrix", mesh)
-        dz, _ = _gbtrs(hist._lu, _BANDS, _BANDS, res, hist._piv, overwrite_b=True)
+        # a column per copy sharing the LU: a Fortran-order view, no copy
+        columns = res.reshape(-1, hist._lu.shape[1]).T
+        dz, _ = _gbtrs(hist._lu, _BANDS, _BANDS, columns, hist._piv, overwrite_b=True)
+        dz = dz.T.reshape(-1)
         if len(active) < len(meshes):
             for mesh in set(meshes).difference(active):
                 dz[ws.unknowns[mesh]] = 0.0
@@ -394,7 +410,7 @@ def step(hist: SolutionHistory, known) -> list:
         # evaluation is of the accepted z
         z_new, settled, redo = z + dz, [], True
         while redo:
-            g, rows = _evaluate(ws, z_new)
+            g, _ = _evaluate(ws, z_new)
             res, new = residual(g)
             redo = False
             for mesh in active[:]:
@@ -430,7 +446,7 @@ def step(hist: SolutionHistory, known) -> list:
         raise failed[min(failed)]
     reports = [StepReport(n, len(t) - 1, t[-1] / s, tuple(t)) for t, s in zip(traces, scale)]
     hist._states[n] = z[0::2]
-    hist._z, hist._g, hist._rows = z, g, rows  # the next step starts from this evaluation
+    hist._z, hist._g = z, g  # the next step starts from this evaluation
     hist.size += 1
     hist.reports += reports
     hist.max_mass_drift = max(hist.max_mass_drift, *drifts)

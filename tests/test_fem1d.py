@@ -8,6 +8,7 @@ from fracch.fem1d import (
     assemble_mass,
     assemble_stiffness,
     cosine_projection_basis,
+    cubic_jacobian,
     cubic_terms,
     l2_norm,
     l2_project_cosine,
@@ -205,25 +206,25 @@ def test_nonlinear_jacobian_directional_derivative():
 @pytest.mark.parametrize("num_elements", [2, 3, 8, 640])
 @pytest.mark.parametrize("kind", ["zero", "constant", "random"])
 def test_cubic_terms_match_the_oracle_load_and_jacobian(num_elements, kind):
-    # the fused kernel's rows, assembled at the nodes, against the
-    # (elements, points) Gauss evaluation of the oracles
+    # the load kernel's and the Jacobian kernel's rows, assembled at the
+    # nodes, against the (elements, points) Gauss evaluation of the oracles
     mesh = UniformMesh1D(num_elements)
     n = mesh.num_nodes
     rng = np.random.default_rng(num_elements)
     u = {"zero": np.zeros(n), "constant": np.full(n, -1.3),
          "random": rng.uniform(-2.0, 2.0, n)}[kind]
-    rows = cubic_terms(u, mesh.h)
-    assert rows.shape == (5, num_elements)
+    rows, jac_rows = cubic_terms(u, mesh.h), cubic_jacobian(u, mesh.h)
+    assert rows.shape == (2, num_elements) and jac_rows.shape == (3, num_elements)
     load = np.zeros(n)
     load[:-1] += rows[0]
     load[1:] += rows[1]
     diag = np.zeros(n)
-    diag[:-1] += rows[2]
-    diag[1:] += rows[3]
+    diag[:-1] += jac_rows[0]
+    diag[1:] += jac_rows[1]
     fe = FeFunction(mesh, u)
     jac = nonlinear_jacobian(fe)
     for got, want in [(load, nonlinear_load(fe)), (diag, jac.diag),
-                      (rows[4], jac.offdiag)]:
+                      (jac_rows[2], jac.offdiag)]:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

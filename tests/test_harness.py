@@ -313,6 +313,16 @@ def test_tiny_spatial_study():
     assert table.theoretical_rate == theoretical_rate(0.5, 0.5, 2.5).spatial
 
 
+@pytest.mark.parametrize("tiny_plan", [tiny_temporal_plan, tiny_spatial_plan])
+def test_batches_give_the_tables_of_one_sample_at_a_time(monkeypatch, tiny_plan):
+    # two full batches and a part batch, in one process and in two: each
+    # table is byte-identical to the one made one sample at a time
+    plans = [tiny_plan(samples=2 * harness.BATCH + 3, workers=w) for w in (1, 2)]
+    batched = [table_text(run_study(plan)) for plan in plans]
+    monkeypatch.setattr(harness, "BATCH", 1)
+    assert batched == [table_text(run_study(plan)) for plan in plans]
+
+
 def test_divergence_policies():
     # an unreachable tolerance turns every Newton solve into a failure;
     # abort reports the lowest failing index for any axis and worker count

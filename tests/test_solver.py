@@ -611,15 +611,16 @@ def test_cubic_rows_are_zero_where_phi_must_not_act(include_phi):
     configs = [replace(c, include_phi=include_phi) for c in halving_configs((2, 3, 8))]
     ws = solver._Workspace(configs)
     u = np.random.default_rng(3).uniform(-2.0, 2.0, int(ws.bounds[-1]))
-    rows = solver.cubic_terms(u, ws.h)
-    assert rows.shape == (5, u.size - 1)
-    if not include_phi:
-        assert np.all(rows == 0.0)
-        return
-    assert np.all(rows[:, ws.bounds[1:-1] - 1] == 0.0)
-    for config, nodes in zip(configs, ws.nodes):
-        own = solver.cubic_terms(u[nodes], config.mesh.h)
-        assert np.array_equal(rows[:, nodes.start : nodes.stop - 1], own)
+    for kernel, count in ((solver.cubic_terms, 2), (solver.cubic_jacobian, 3)):
+        rows = kernel(u, ws.h)
+        assert rows.shape == (count, u.size - 1)
+        if not include_phi:
+            assert np.all(rows == 0.0)
+            continue
+        assert np.all(rows[:, ws.bounds[1:-1] - 1] == 0.0)
+        for config, nodes in zip(configs, ws.nodes):
+            own = kernel(u[nodes], config.mesh.h)
+            assert np.array_equal(rows[:, nodes.start : nodes.stop - 1], own)
 
 
 @pytest.mark.parametrize("include_phi", [True, False])
@@ -816,3 +817,45 @@ def test_a_trial_that_fails_under_an_older_lu_retries_with_an_exact_step(monkeyp
     changed = np.any(captured[1] != captured[0], axis=0)
     assert np.all(changed[: 2 * 3] == 0) and np.all(changed[2 * 12 :] == 0)
     assert np.any(changed[2 * 3 : 2 * 12])
+
+
+@pytest.mark.parametrize("period", [(8,), (8, 16)])
+def test_copies_of_a_period_share_their_first_lu_and_match_their_own_runs(monkeypatch,
+                                                                          period):
+    # four samples (noise seeds 41-44) of the table_digest path in one
+    # stack, each sample's meshes side by side: the first factorization is
+    # the period's band alone; the members then refresh at different steps,
+    # each refresh factoring the whole band.  Every member has its own
+    # run's states and reports, bit for bit, through both phases
+    configs = halving_configs(period)
+    spec = NoiseSpec(2.0, 15, 131e-3, 131)
+    tracks = [[project_increments(sample_path(spec, seed), c.mesh) for c in configs]
+              for seed in (41, 42, 43, 44)]
+    captured = spy_factorizations(monkeypatch)
+    stack = run_path(configs * 4, "b", [t for mine in tracks for t in mine])
+    cols = 2 * sum(c.mesh.num_nodes for c in configs)
+    assert captured[0].shape == (cols, cols)
+    assert len(captured) > 1 and all(c.shape == (4 * cols,) * 2 for c in captured[1:])
+    for k, (config, track) in enumerate(zip(configs * 4, sum(tracks, []))):
+        alone = run_path(config, "b", track)
+        assert np.array_equal(stack.states_array()[:, stack.workspace.nodes[k]],
+                              alone.states_array())
+        assert stack.reports[k :: len(configs) * 4] == alone.reports
+
+
+def test_the_first_band_of_a_periodic_stack_is_the_period_band(monkeypatch):
+    # three copies of a sample's meshes (2, 8, 16) from one u0 factor the
+    # band of one copy, bit for bit the band that the copy factors alone,
+    # and solve every copy on it; copies that start apart factor it whole
+    configs, tracks = rough_runs((2, 8, 16))
+    captured = spy_factorizations(monkeypatch)
+    run_path(configs, "b", tracks)
+    own = captured.pop()
+    stack = run_path(configs * 3, "b", tracks * 3)
+    assert len(captured) == 1 and np.array_equal(captured[0], own)
+    assert stack.workspace.copies == 3
+    one = stack.u0[: stack.u0.size // 3]
+    u0 = np.concatenate([one, one, 2.0 * one])
+    captured.clear()
+    step(SolutionHistory(configs * 3, u0), u0)
+    assert captured[0].shape == (2 * u0.size,) * 2

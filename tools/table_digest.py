@@ -12,9 +12,11 @@ must not move any number leaves them byte-identical.  The document holds
   mesh, so a change that must keep the iterates can show that it did
   even where the last digits of a table move, the number of stacked
   Newton solves (``lockstep_iters``: one ``gbtrs`` call each, fewer than
-  the iterations where meshes run in lockstep) and the number of LU
-  factorizations (``factorizations``: one ``gbtrf`` call each, one per
-  path plus one per refresh of the Newton matrix);
+  the iterations where meshes run in lockstep; the samples of a batch
+  run in lockstep too, so one call solves for every sample and mesh of
+  the batch) and the number of LU factorizations (``factorizations``:
+  one ``gbtrf`` call each, one per stack plus one per refresh of the
+  Newton matrix; a batch's stack factors once);
 * ``table_text`` of three small plans (temporal, temporal with the
   resolution equal to the reference, spatial) at ``workers`` 1 and 2;
 * ``table_text`` of the linear oracle table at alpha 0.5, and at the
