@@ -146,22 +146,16 @@ def _cosine_loads(mesh: UniformMesh1D, wavenumbers: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0) * loads
 
 
-def l2_project_cosine(mesh: UniformMesh1D, wavenumber: int) -> FeFunction:
-    """L2 projection of sqrt(2)*cos(wavenumber*pi*x) onto the mesh."""
-    if wavenumber < 1:
-        raise ValueError(f"wavenumber must be >= 1, got {wavenumber}")
-    load = _cosine_loads(mesh, np.array([wavenumber]))[0]
-    return FeFunction(mesh, assemble_mass(mesh).solve(load))
-
-
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def cosine_projection_basis(mesh: UniformMesh1D, count: int) -> np.ndarray:
     """Projected cosines for wavenumbers 1..count as columns of a matrix.
 
     Column j-1 holds the nodal coefficients of the L2 projection of
     sqrt(2)*cos(j*pi*x); one mass solve with many right-hand sides.
-    Every resolution of a temporal study projects onto the same mesh, so
-    the basis is cached; it is returned read-only because callers share it.
+    Every resolution of a temporal study projects onto the same mesh, and
+    a spatial study of case "b" takes ten bases (its noise's and its
+    initial datum's on each of five meshes), so sixteen are cached; a
+    basis is returned read-only because callers share it.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

@@ -367,10 +367,12 @@ BATCH = 8
 def _batch(plan: ExperimentPlan, indices) -> list:
     """Terminal errors of each sample of ``indices`` at each resolution
     against its own reference solve, or None if its path failed under
-    policy "drop".  Each path is drawn on the study's fine grid and
-    projected before the next sample's; each member of a stack has its own
-    run's bits, so a row does not depend on its batch.  BLAS runs on one
-    thread throughout, in every worker."""
+    policy "drop".  The batch's paths are drawn on the study's fine grid
+    first; each run's tracks, sample after sample, are projected as that
+    run starts, so the batch does not keep every run's tracks at once.
+    Each member of a stack has its own run's bits, so a row does not
+    depend on its batch.  BLAS runs on one thread throughout, in every
+    worker."""
     spatial = plan.study == "spatial"
     steps = plan.num_steps if spatial else plan.reference
     spec = NoiseSpec(plan.decay_exponent, plan.resolved_modes, plan.t_final, steps)
@@ -387,21 +389,14 @@ def _batch(plan: ExperimentPlan, indices) -> list:
         [config(plan.mesh_size, n)] for n in sizes
     ]
 
-    def project(path, run):  # the path's tracks on one run's meshes
-        noise = coarsen(path, steps // run[0].num_steps)
-        return [project_increments(noise, c.mesh) for c in run]
-
-    # each sample is drawn and projected before the next; a batch of one
-    # projects each run's tracks as it starts, so it holds one run's at a time
-    one, drawn = len(indices) == 1, []
-    for index in indices:
-        path = sample_path(spec, path_stream(plan.master_seed, plan.row_key, index))
-        drawn.append(path if one else [project(path, run) for run in runs])
+    paths = [sample_path(spec, path_stream(plan.master_seed, plan.row_key, index))
+             for index in indices]
     terminals = []
     for k, run in enumerate(runs):
-        mine = project(drawn[0], run) if one else [t for d in drawn for t in d[k]]
+        noises = [coarsen(path, steps // run[0].num_steps) for path in paths]
+        tracks = [project_increments(noise, c.mesh) for noise in noises for c in run]
         try:
-            terminal = run_path(run * len(indices), plan.case, mine).terminal
+            terminal = run_path(run * len(indices), plan.case, tracks).terminal
         except PathFailure as exc:
             if len(indices) > 1:
                 return [row for index in indices for row in _batch(plan, [index])]
@@ -424,14 +419,15 @@ def _collect(plan: ExperimentPlan) -> tuple:
     """Error rows of the kept samples and the indices of the dropped ones.
 
     The samples run in batches of BATCH consecutive indices, which workers
-    take whole.  Results arrive in index order for any worker count, so
-    under policy "abort" the lowest failing index is the one reported.
+    take whole; the pool starts no more workers than there are batches.
+    Results arrive in index order for any worker count, so under policy
+    "abort" the lowest failing index is the one reported.
     """
     batches = [range(s, min(s + BATCH, plan.samples)) for s in range(0, plan.samples, BATCH)]
     if plan.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(plan.workers, len(batches))) as pool:
             results = sum(pool.map(partial(_batch, plan), batches), [])
     else:
         results = sum((_batch(plan, batch) for batch in batches), [])

@@ -86,10 +86,10 @@ from fracch.fem1d import (
     UniformMesh1D,
     assemble_mass,
     assemble_stiffness,
+    cosine_projection_basis,
     cubic_jacobian,
     cubic_terms,
     l2_norm,
-    l2_project_cosine,
 )
 from fracch.fracops import cq_block, cq_weights
 from fracch.noise import ProjectedNoiseTrack, integrated_noise
@@ -329,7 +329,7 @@ def initial_state(case: str, mesh: UniformMesh1D) -> FeFunction:
     if case == "a":
         return FeFunction(mesh, np.zeros(mesh.num_nodes))
     # 0.05 cos(2 pi x) = (0.05 / sqrt(2)) * sqrt(2) cos(2 pi x)
-    return FeFunction(mesh, 0.05 / np.sqrt(2.0) * l2_project_cosine(mesh, 2).coeffs)
+    return FeFunction(mesh, 0.05 / np.sqrt(2.0) * cosine_projection_basis(mesh, 2)[:, 1])
 
 
 def _norms(v: np.ndarray, parts) -> list:

@@ -152,6 +152,20 @@ def cosine_load_adaptive(mesh: UniformMesh1D, j: int) -> np.ndarray:
     return out
 
 
+def l2_project_cosine(mesh: UniformMesh1D, wavenumber: int) -> FeFunction:
+    """L2 projection of sqrt(2)*cos(wavenumber*pi*x) onto the mesh, one
+    wavenumber and one mass solve at a time: the single-column reference
+    of ``cosine_projection_basis``."""
+    w = wavenumber * np.pi
+    x = mesh.nodes()
+    a, b, h = x[:-1], x[1:], mesh.h
+    ca, cb = np.cos(w * a), np.cos(w * b)
+    load = np.zeros(mesh.num_nodes)
+    load[:-1] += ((ca - cb) / w**2 - h * np.sin(w * a) / w) / h
+    load[1:] += ((cb - ca) / w**2 + h * np.sin(w * b) / w) / h
+    return FeFunction(mesh, assemble_mass(mesh).solve(np.sqrt(2.0) * load))
+
+
 def dense_mass(mesh: UniformMesh1D) -> np.ndarray:
     h = mesh.h
     n = mesh.num_nodes

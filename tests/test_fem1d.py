@@ -11,12 +11,12 @@ from fracch.fem1d import (
     cubic_jacobian,
     cubic_terms,
     l2_norm,
-    l2_project_cosine,
 )
 from oracles import (
     cosine_load_adaptive,
     dense,
     h1_seminorm,
+    l2_project_cosine,
     load_vector_quadrature,
     nonlinear_jacobian,
     nonlinear_load,
@@ -111,9 +111,9 @@ def test_projection_convergence_rate():
     errs = []
     for m in (64, 128, 256):
         mesh = UniformMesh1D(m)
-        proj = l2_project_cosine(mesh, 1)
+        proj = cosine_projection_basis(mesh, 1)[:, 0]
         x = np.linspace(0.0, 1.0, 4001)
-        ph = np.interp(x, mesh.nodes(), proj.coeffs)
+        ph = np.interp(x, mesh.nodes(), proj)
         exact = np.sqrt(2.0) * np.cos(np.pi * x)
         errs.append(np.sqrt(np.trapezoid((ph - exact) ** 2, x)))
     slopes = np.diff(np.log(errs)) / np.log(0.5)
@@ -127,13 +127,13 @@ def test_projection_mean_zero_and_orthogonality():
         m = int(rng.choice(mesh_sizes))
         j = int(rng.integers(1, 12))
         mesh = UniformMesh1D(m)
-        proj = l2_project_cosine(mesh, j)
+        proj = cosine_projection_basis(mesh, j)[:, j - 1]
         mass = assemble_mass(mesh)
-        mean = np.ones(m + 1) @ mass.matvec(proj.coeffs)
+        mean = np.ones(m + 1) @ mass.matvec(proj)
         assert abs(mean) <= 1e-12
         # Galerkin orthogonality against every hat function
         load = cosine_load_adaptive(mesh, j)
-        residual = load - mass.matvec(proj.coeffs)
+        residual = load - mass.matvec(proj)
         assert np.max(np.abs(residual)) <= 1e-12
 
 
@@ -149,12 +149,11 @@ def test_projection_basis_matches_single_solves():
         assert np.allclose(basis[:, j - 1], single, rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
         cosine_projection_basis(mesh, 0)
-    with pytest.raises(ValueError):
-        l2_project_cosine(mesh, 0)
 
 
 def test_projected_cosine_norm_near_one():
-    proj = l2_project_cosine(UniformMesh1D(256), 1)
+    mesh = UniformMesh1D(256)
+    proj = FeFunction(mesh, cosine_projection_basis(mesh, 1)[:, 0])
     assert abs(l2_norm(proj) - 1.0) <= 1e-3
 
 

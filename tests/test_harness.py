@@ -1,7 +1,9 @@
+import concurrent.futures
 import io
 import json
 import math
-from dataclasses import asdict
+import operator
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -342,23 +344,34 @@ def test_divergence_policies():
 
 
 def test_mass_drift_policies(monkeypatch, tmp_path, capsys):
-    # sample 1 gets noise frames with a nonzero mean, so its mass drifts
-    current = {}
+    # sample 1 gets noise frames with a nonzero mean, so its mass drifts;
+    # its path is found by its own stream and followed through coarsen
+    marked = []
 
-    def stream(master_seed, row_key, path_index):
-        current["index"] = path_index
-        return real_stream(master_seed, row_key, path_index)
+    def sample(spec, seed):
+        path = real_sample(spec, seed)
+        if seed.spawn_key[-1] == 1:
+            marked.append(path)
+        return path
+
+    def coarse(path, factor):
+        noise = real_coarsen(path, factor)
+        if any(path is one for one in marked):
+            marked.append(noise)
+        return noise
 
     def project(path, mesh):
         track = real_project(path, mesh)
-        if current["index"] == 1:
+        if any(path is one for one in marked):
             values = frames(track)
             values[1:] += 1.0
             track = nodal_track(mesh, track.tau, values)
         return track
 
-    real_stream, real_project = harness.path_stream, harness.project_increments
-    monkeypatch.setattr(harness, "path_stream", stream)
+    real_sample, real_coarsen = harness.sample_path, harness.coarsen
+    real_project = harness.project_increments
+    monkeypatch.setattr(harness, "sample_path", sample)
+    monkeypatch.setattr(harness, "coarsen", coarse)
     monkeypatch.setattr(harness, "project_increments", project)
 
     for tiny_plan, axis in ((tiny_temporal_plan, "steps"), (tiny_spatial_plan, "mesh")):
@@ -379,6 +392,53 @@ def test_mass_drift_policies(monkeypatch, tmp_path, capsys):
             assert info.value.context == f"sample 1, reference {axis} 16"
             assert "at step 1 (sample 1, reference" in str(info.value)
 
+
+def test_a_batch_projects_one_runs_tracks_at_a_time(monkeypatch):
+    # each run_path gets exactly the tracks projected since the one before,
+    # so a batch does not project every resolution's tracks up front
+    projected, runs = [], []
+
+    def project(path, mesh):
+        projected.append(real_project(path, mesh))
+        return projected[-1]
+
+    def run(configs, case, tracks):
+        assert len(tracks) == len(projected)
+        assert all(map(operator.is_, tracks, projected))
+        runs.append(len(tracks))
+        projected.clear()
+        return real_run(configs, case, tracks)
+
+    real_project, real_run = harness.project_increments, harness.run_path
+    monkeypatch.setattr(harness, "project_increments", project)
+    monkeypatch.setattr(harness, "run_path", run)
+    plan = tiny_temporal_plan(samples=3)
+    run_study(plan)
+    assert runs == [3] * (len(plan.resolutions) + 1)
+
+
+def test_the_process_pool_is_no_larger_than_its_work(monkeypatch):
+    # a stand-in pool records its size and maps in this process, so no
+    # process starts; two batches take two workers, not 64
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    plan = tiny_temporal_plan(samples=harness.BATCH + 1, workers=64)
+    assert table_text(run_study(plan)) == table_text(run_study(replace(plan, workers=1)))
+    assert sizes == [2]
 
 
 def test_linear_oracle_table_small():

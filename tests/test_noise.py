@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracch.fem1d import UniformMesh1D, assemble_mass, l2_project_cosine
+from fracch.fem1d import UniformMesh1D, assemble_mass
 from fracch.fracops import cq_weights
 from fracch.noise import (
     BrownianPath,
@@ -18,7 +18,7 @@ from fracch.noise import (
     sample_path,
 )
 from fracch.solver import BLOCK
-from oracles import frac_integrated_noise, frames, nodal_track
+from oracles import frac_integrated_noise, frames, l2_project_cosine, nodal_track
 
 
 def test_spec_validation():

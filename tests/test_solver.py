@@ -12,7 +12,6 @@ from fracch.fem1d import (
     assemble_stiffness,
     cosine_projection_basis,
     l2_norm,
-    l2_project_cosine,
 )
 from fracch.fracops import cq_weights
 from fracch.noise import (

@@ -13,8 +13,7 @@ fracch from its side's ``src/`` and times R runs of
   alpha 0.75, gamma 0.8, eps 0.1, case "b" and the m = 1 track of
   sample 0 (a fixed seed), built before the clock starts;
 * sample 0 of the spatial plan through the harness's sample driver:
-  ``_batch(plan, [0])``, a batch of one, or ``_sample(plan, 0)`` in a
-  checkout from before batches;
+  ``_batch(plan, [0])``, a batch of one;
 * ``run_path`` on STACK copies of the first job's config, cut to its
   first STACK_STEPS steps, with the tracks of samples 0 to STACK - 1, in
   lockstep (on one shared LU where the solver shares it); its time is
@@ -78,10 +77,9 @@ def child(src: str, runs: int) -> None:
         for k in range(STACK)
     ]
     short = replace(config, num_steps=STACK_STEPS)
-    batch = getattr(harness, "_batch", None)
     jobs = {
         "path": lambda: run_path(config, rough.case, tracks[0]),
-        "sample": (lambda: batch(spatial, [0])) if batch else lambda: harness._sample(spatial, 0),
+        "sample": lambda: harness._batch(spatial, [0]),
         "stack": lambda: run_path([short] * STACK, rough.case, tracks),
     }
     best = {}
